@@ -237,7 +237,7 @@ std::string ToJson(const Results& r, bool quick) {
       "\"wall_ms\":%.1f,\"peak_rss_kb\":%lu}\n",
       // The committed (non-quick) trajectory line is tagged with the
       // frame-path generation so regressions bisect cleanly: "burst" = TXOP
-      // burst batching + shared airtime cache + SIMD sweeps (vs "batched" =
+      // burst batching + shared airtime cache (vs "batched" =
       // the SoA EdcaCore sweeps, vs the retired per-contender "full").
       quick ? "quick" : "burst", static_cast<unsigned long long>(r.frames),
       r.frames_per_sec, r.events_per_sec, r.allocs_per_frame, r.probe_share,

@@ -3,9 +3,8 @@
 # and records the repo's two committed perf-trajectory baselines:
 #
 #   BENCH_eventloop.json — micro_eventloop: schedule/cancel/dispatch
-#       throughput of the allocation-free scheduler vs the pre-rewrite
-#       std::function + hash-set baseline (events/sec, allocs/event,
-#       wall time, peak RSS).
+#       throughput of the allocation-free scheduler (events/sec,
+#       allocs/event, wall time, peak RSS).
 #   BENCH_channel.json   — micro_channel: saturated multi-AC EDCA contention
 #       plus a ping-pair probe through wifi::Channel (frames/sec,
 #       allocs/frame — must be zero, busy fraction, peak RSS).

@@ -7,9 +7,7 @@
 #      percentiles, metrics, and timeline artifacts.
 #   3. tsan: rebuild the concurrency-sensitive suites under ThreadSanitizer
 #      (-DKWIKR_SANITIZE=thread) and run `ctest -L obs` + `ctest -L faults`
-#      + `ctest -L frame_path` (twice: default, then with
-#      KWIKR_EDCA_NO_SIMD=1 to pin the scalar EDCA fallback)
-#      + `ctest -L cc_aqm` + `ctest -L timeline`
+#      + `ctest -L frame_path` + `ctest -L cc_aqm` + `ctest -L timeline`
 #      + `ctest -L fleet_shard` (registry merge paths, fleet sharding, the
 #      golden corpus whose byte-stability depends on worker-count
 #      independence, the frame-path primitives the sharded runs lean on,
@@ -118,11 +116,6 @@ step_tsan() {
   ctest --test-dir build-tsan -L obs --output-on-failure -j "$jobs"
   ctest --test-dir build-tsan -L faults --output-on-failure -j "$jobs"
   ctest --test-dir build-tsan -L frame_path --output-on-failure -j "$jobs"
-  # Second frame_path leg with the SIMD EDCA sweeps force-disabled: the
-  # scalar fallback is what non-SSE2/NEON builds run, so it must stay green
-  # (and race-free) even on hosts where the vector path is the default.
-  KWIKR_EDCA_NO_SIMD=1 \
-    ctest --test-dir build-tsan -L frame_path --output-on-failure -j "$jobs"
   ctest --test-dir build-tsan -L cc_aqm --output-on-failure -j "$jobs"
   ctest --test-dir build-tsan -L timeline --output-on-failure -j "$jobs"
   ctest --test-dir build-tsan -L fleet_shard --output-on-failure -j "$jobs"

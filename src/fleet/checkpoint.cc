@@ -2,9 +2,11 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "obs/exporters.h"
+#include "sim/decimal.h"
 
 namespace kwikr::fleet {
 namespace {
@@ -14,7 +16,7 @@ bool Fail(std::string* error, std::string message) {
   return false;
 }
 
-/// Parses `"key":` at the cursor and the given integer after it. The
+/// Parses `"key":` at the cursor and the unsigned integer after it. The
 /// manifest is machine-written with fixed key order, so a strict sequential
 /// parse doubles as a corruption check.
 bool ParseU64Field(std::string_view text, std::size_t* pos,
@@ -22,15 +24,7 @@ bool ParseU64Field(std::string_view text, std::size_t* pos,
   const std::string expect = ",\"" + std::string(key) + "\":";
   if (text.substr(*pos, expect.size()) != expect) return false;
   *pos += expect.size();
-  const std::size_t start = *pos;
-  std::uint64_t value = 0;
-  while (*pos < text.size() && text[*pos] >= '0' && text[*pos] <= '9') {
-    value = value * 10 + static_cast<std::uint64_t>(text[*pos] - '0');
-    ++*pos;
-  }
-  if (*pos == start) return false;
-  *out = value;
-  return true;
+  return sim::ParseDecimalU64(text, pos, out);
 }
 
 }  // namespace
@@ -80,18 +74,28 @@ bool DecodeCheckpointManifest(std::string_view text,
   if (pos >= text.size()) return false;
   ++pos;  // closing quote.
 
+  // The first four fields land in ints; the rest are uint64.
+  constexpr auto kInt =
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+  constexpr auto kU64 = std::numeric_limits<std::uint64_t>::max();
   struct Field {
     std::string_view key;
+    std::uint64_t max;
     std::uint64_t value = 0;
   };
   Field fields[] = {
-      {"shard"},        {"shard_count"},   {"worker"},
-      {"processes"},    {"range_begin"},   {"range_end"},
-      {"completed"},    {"results_bytes"}, {"metrics_bytes"},
-      {"timeline_bytes"}, {"peak_rss_kb"},
+      {"shard", kInt},          {"shard_count", kInt},
+      {"worker", kInt},         {"processes", kInt},
+      {"range_begin", kU64},    {"range_end", kU64},
+      {"completed", kU64},      {"results_bytes", kU64},
+      {"metrics_bytes", kU64},  {"timeline_bytes", kU64},
+      {"peak_rss_kb", kU64},
   };
   for (Field& field : fields) {
-    if (!ParseU64Field(text, &pos, field.key, &field.value)) return false;
+    if (!ParseU64Field(text, &pos, field.key, &field.value) ||
+        field.value > field.max) {
+      return false;
+    }
   }
   if (text.substr(pos) != "}\n" && text.substr(pos) != "}") return false;
 

@@ -5,27 +5,19 @@
 #include <limits>
 #include <string_view>
 
+#include "sim/decimal.h"
+
 namespace kwikr::fleet {
 namespace {
 
 /// Extracts the sim-time stamp from one JSONL line: the integer after the
-/// first `"t":`. Returns false when the line has no stamp.
+/// first `"t":`. Returns false when the line has no stamp or the stamp does
+/// not fit an int64.
 bool LineTime(std::string_view line, std::int64_t* t) {
   const std::size_t key = line.find("\"t\":");
   if (key == std::string_view::npos) return false;
   std::size_t i = key + 4;
-  bool negative = false;
-  if (i < line.size() && line[i] == '-') {
-    negative = true;
-    ++i;
-  }
-  if (i >= line.size() || line[i] < '0' || line[i] > '9') return false;
-  std::int64_t value = 0;
-  for (; i < line.size() && line[i] >= '0' && line[i] <= '9'; ++i) {
-    value = value * 10 + (line[i] - '0');
-  }
-  *t = negative ? -value : value;
-  return true;
+  return sim::ParseDecimalI64(line, &i, t);
 }
 
 struct MergeLine {

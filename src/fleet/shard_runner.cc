@@ -8,6 +8,7 @@
 
 #include "fleet/spill.h"
 #include "obs/registry_io.h"
+#include "sim/decimal.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -53,12 +54,8 @@ bool CheckResultLine(std::string_view line, std::uint64_t expected) {
   if (line.substr(0, kPrefix.size()) != kPrefix) return false;
   std::size_t pos = kPrefix.size();
   std::uint64_t index = 0;
-  const std::size_t digits_begin = pos;
-  while (pos < line.size() && line[pos] >= '0' && line[pos] <= '9') {
-    index = index * 10 + static_cast<std::uint64_t>(line[pos] - '0');
-    ++pos;
-  }
-  if (pos == digits_begin || pos >= line.size() || line[pos] != ',') {
+  if (!sim::ParseDecimalU64(line, &pos, &index) || pos >= line.size() ||
+      line[pos] != ',') {
     return false;
   }
   return index == expected && line.back() == '\n';

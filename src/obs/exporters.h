@@ -25,8 +25,8 @@ std::string PrometheusText(const MetricsRegistry& registry);
 bool WritePrometheus(const MetricsRegistry& registry, const std::string& path);
 
 /// Serializes a registry snapshot as JSON Lines — one
-/// {"metric":...,"labels":{...},...} object per series — unifying metrics
-/// dumps with the trace::Recorder JSONL convention.
+/// {"metric":...,"labels":{...},...} object per series, the same JSONL
+/// convention as the timeline and spill streams.
 std::string MetricsJsonl(const MetricsRegistry& registry);
 bool WriteMetricsJsonl(const MetricsRegistry& registry,
                        const std::string& path);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/exporters.h"
+#include "sim/decimal.h"
 
 namespace kwikr::obs {
 namespace {
@@ -98,24 +99,11 @@ class Scanner {
   }
 
   bool UInt64(std::uint64_t* out) {
-    const std::size_t start = pos_;
-    std::uint64_t value = 0;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      value = value * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    *out = value;
-    return true;
+    return sim::ParseDecimalU64(text_, &pos_, out);
   }
 
   bool Int64(std::int64_t* out) {
-    const bool negative = Literal("-");
-    std::uint64_t magnitude = 0;
-    if (!UInt64(&magnitude)) return false;
-    *out = negative ? -static_cast<std::int64_t>(magnitude)
-                    : static_cast<std::int64_t>(magnitude);
-    return true;
+    return sim::ParseDecimalI64(text_, &pos_, out);
   }
 
   bool Double(double* out) {

@@ -4,10 +4,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "fleet/scenario_shards.h"
+#include "sim/decimal.h"
 #include "sim/rng.h"
 #include "stats/percentile.h"
 #include "stats/welch.h"
@@ -294,18 +296,6 @@ bool ParseKey(std::string_view line, std::size_t* pos, std::string_view key) {
   return true;
 }
 
-bool ParseU64(std::string_view line, std::size_t* pos, std::uint64_t* out) {
-  const std::size_t start = *pos;
-  std::uint64_t value = 0;
-  while (*pos < line.size() && line[*pos] >= '0' && line[*pos] <= '9') {
-    value = value * 10 + static_cast<std::uint64_t>(line[*pos] - '0');
-    ++*pos;
-  }
-  if (*pos == start) return false;
-  *out = value;
-  return true;
-}
-
 bool ParseDoubleField(std::string_view line, std::size_t* pos,
                       std::string_view key, double* out) {
   if (!ParseKey(line, pos, key)) return false;
@@ -323,7 +313,7 @@ bool ParseDoubleField(std::string_view line, std::size_t* pos,
 
 bool ParseIntField(std::string_view line, std::size_t* pos,
                    std::string_view key, std::uint64_t* out) {
-  return ParseKey(line, pos, key) && ParseU64(line, pos, out);
+  return ParseKey(line, pos, key) && sim::ParseDecimalU64(line, pos, out);
 }
 
 }  // namespace
@@ -355,8 +345,10 @@ bool DecodeWildCallLine(std::string_view line, std::uint64_t* index,
   constexpr std::string_view kPrefix = "{\"call\":";
   if (line.substr(0, kPrefix.size()) != kPrefix) return false;
   std::size_t pos = kPrefix.size();
-  if (!ParseU64(line, &pos, index)) return false;
+  if (!sim::ParseDecimalU64(line, &pos, index)) return false;
 
+  constexpr auto kIntMax =
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max());
   WildCallResult r;
   std::uint64_t probe_samples = 0;
   std::uint64_t wmm = 0;
@@ -379,7 +371,10 @@ bool DecodeWildCallLine(std::string_view line, std::uint64_t* index,
       !ParseIntField(line, &pos, "events", &r.events_executed)) {
     return false;
   }
-  if (line.substr(pos) != "}") return false;
+  if (line.substr(pos) != "}" || probe_samples > kIntMax ||
+      cross_stations > kIntMax) {
+    return false;
+  }
   r.probe_samples = static_cast<int>(probe_samples);
   r.wmm_enabled = wmm == 1;
   r.cross_stations = static_cast<int>(cross_stations);

@@ -21,15 +21,6 @@ using EventId = std::uint64_t;
 /// Type tag given to events scheduled through the untyped overloads.
 inline constexpr const char kDefaultEventType[] = "event";
 
-/// Pending-timer store selection (see EventLoop). kWheel is the production
-/// configuration: a two-level hierarchical timer wheel absorbs the dense
-/// short-horizon timers (frame airtimes, SIFS gaps, RTO guards) in O(1) and
-/// the 4-ary heap only carries the far-future overflow. kHeapOnly routes
-/// every timer through the heap — the pre-wheel behavior, kept selectable so
-/// the randomized differential test in tests/sim_test.cc can prove the two
-/// configurations dispatch identical (time, seq) sequences.
-enum class SchedulerMode { kWheel, kHeapOnly };
-
 /// Observer of event execution (the observability hook). Attach with
 /// EventLoop::SetProbe; with no probe attached the loop's dispatch path
 /// performs a single null check and no clock reads — zero-cost.
@@ -64,7 +55,7 @@ class EventLoopProbe {
 ///    kWheelMinPopulation pending timers) skip the wheel entirely and use
 ///    the heap, whose shallow sifts win there. The dispatch order is the
 ///    exact (time, seq) total order either way — see DESIGN.md §14 and the
-///    SchedulerMode differential test.
+///    wheel-vs-reference differential test in tests/sim_test.cc.
 ///  - Cancellation is O(1) without hashing: EventId encodes (slot,
 ///    generation), and Cancel flips the slot's tombstone bit and releases
 ///    the captured state immediately. Tombstoned entries are reaped lazily
@@ -78,9 +69,6 @@ class EventLoop {
 
  public:
   EventLoop() = default;
-  /// Selects the pending-timer store; kHeapOnly exists for the wheel-vs-heap
-  /// differential tests. The mode is fixed for the loop's lifetime.
-  explicit EventLoop(SchedulerMode mode) : mode_(mode) {}
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
@@ -164,9 +152,9 @@ class EventLoop {
   /// Records `count` logical event executions that were batched into the
   /// current dispatch instead of being scheduled individually (the wifi
   /// burst-delivery path invokes owner hooks inline). Keeps executed() — an
-  /// observable that the golden corpus commits to — stable across the
-  /// batching optimization. Callers fire the probe themselves when one is
-  /// attached (see probe()).
+  /// observable that the golden corpus commits to — counting one event per
+  /// inline invocation, as if each had been scheduled. Callers fire the
+  /// probe themselves when one is attached (see probe()).
   void CountInlineDispatches(std::uint64_t count) { executed_ += count; }
 
   /// Attaches (or with nullptr detaches) the execution probe.
@@ -426,11 +414,10 @@ class EventLoop {
   void InsertTimer(Time at, std::uint32_t slot_index) {
     if (next_seq_ == kMaxSeq) RenumberSequences();
     const HeapEntry entry = MakeEntry(at, next_seq_++, slot_index);
-    if (mode_ == SchedulerMode::kHeapOnly ||
-        TimerEntries() < kWheelMinPopulation) {
-      // Sparse regime (or heap-only mode): see kWheelMinPopulation. The
-      // regimes mix freely — entries already in the wheel stay there and
-      // drain in order regardless of where new inserts land.
+    if (TimerEntries() < kWheelMinPopulation) {
+      // Sparse regime: see kWheelMinPopulation. The regimes mix freely —
+      // entries already in the wheel stay there and drain in order
+      // regardless of where new inserts land.
       heap_.push_back(entry);
       SiftUp(heap_.size() - 1);
       return;
@@ -526,10 +513,10 @@ class EventLoop {
 
   Time now_ = 0;
   std::uint32_t next_seq_ = 1;
-  SchedulerMode mode_ = SchedulerMode::kWheel;
   EventLoopProbe* probe_ = nullptr;
   std::uint64_t executed_ = 0;
-  /// Far-future overflow (and, in kHeapOnly mode, every pending timer).
+  /// Far-future overflow (and, below kWheelMinPopulation, every pending
+  /// timer).
   std::vector<HeapEntry> heap_;
   // Wheel state — see the geometry comment above. Bucket vectors grow to
   // their high-water mark and are then reused forever (clear() keeps

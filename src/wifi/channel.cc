@@ -14,11 +14,6 @@ namespace {
 // this is pure headroom; overflow falls back to the by-value closure.
 constexpr std::size_t kDeliverStageCapacity = 64;
 
-// Process-wide construction default for delivery batching; test-only (the
-// golden on/off differential flips it around scenario runs). Plain bool:
-// single-threaded setup contract, documented on the setter.
-bool g_default_delivery_batching = true;
-
 // Cheap monotonic cycle counter for the --breakdown stage attribution.
 // Shares are ratios of the same counter, so the unit (TSC ticks, generic
 // timer ticks, or ns) cancels out.
@@ -36,10 +31,6 @@ inline std::uint64_t StageCycles() {
 }
 }  // namespace
 
-void Channel::SetDefaultDeliveryBatchingForTest(bool enabled) {
-  g_default_delivery_batching = enabled;
-}
-
 Channel::Channel(sim::EventLoop& loop, sim::Rng rng, PhyParams phy)
     : loop_(loop),
       rng_(rng),
@@ -47,7 +38,6 @@ Channel::Channel(sim::EventLoop& loop, sim::Rng rng, PhyParams phy)
       edca_(phy.slot),
       airtime_cache_(phy_),
       deliver_stage_(kDeliverStageCapacity) {
-  delivery_batching_ = g_default_delivery_batching;
   // Pre-grow the staging ring to its bound at setup so the frame path's
   // zero-allocation invariant holds from the first delivery.
   for (std::size_t i = 0; i < kDeliverStageCapacity; ++i) {
@@ -289,20 +279,14 @@ void Channel::StartTransmissions(sim::Time start) {
 
   // The transmitter set rides in in_flight_ (the medium is busy until
   // tx_done fires, so there is exactly one set in flight): the closure
-  // captures two words instead of a heap-backed vector copy.
-  if (delivery_batching_) {
-    // Rearmable: TXOP continuations re-fire this same slot and closure (see
-    // FinishTransmissions), so a whole burst costs one schedule. The closure
-    // reads busy_until_ — updated per continuation — instead of capturing
-    // the end time.
-    auto tx_done = [this] { FinishTransmissions(busy_until_); };
-    static_assert(sim::InlineTask::fits_inline<decltype(tx_done)>);
-    loop_.ScheduleRearmableAt(end, "wifi.tx_done", std::move(tx_done));
-  } else {
-    auto tx_done = [this, end] { FinishTransmissions(end); };
-    static_assert(sim::InlineTask::fits_inline<decltype(tx_done)>);
-    loop_.ScheduleAt(end, "wifi.tx_done", std::move(tx_done));
-  }
+  // captures one word instead of a heap-backed vector copy.
+  // Rearmable: TXOP continuations re-fire this same slot and closure (see
+  // FinishTransmissions), so a whole burst costs one schedule. The closure
+  // reads busy_until_ — updated per continuation — instead of capturing the
+  // end time.
+  auto tx_done = [this] { FinishTransmissions(busy_until_); };
+  static_assert(sim::InlineTask::fits_inline<decltype(tx_done)>);
+  loop_.ScheduleRearmableAt(end, "wifi.tx_done", std::move(tx_done));
 }
 
 void Channel::FinishTransmissions(sim::Time end) {
@@ -336,19 +320,9 @@ void Channel::FinishTransmissions(sim::Time end) {
           // already holds exactly {id}; the medium stays busy — no idle
           // transition yet.
           busy_until_ = end + phy_.sifs + airtime;
-          if (delivery_batching_) {
-            // Re-fire this very event (slot + closure reused, zero churn);
-            // retag so the probe keeps the legacy tx_done/txop_burst split.
-            loop_.RearmCurrentAt(busy_until_, "wifi.txop_burst");
-          } else {
-            auto finish_burst = [this, until = busy_until_] {
-              FinishTransmissions(until);
-            };
-            static_assert(
-                sim::InlineTask::fits_inline<decltype(finish_burst)>);
-            loop_.ScheduleAt(busy_until_, "wifi.txop_burst",
-                             std::move(finish_burst));
-          }
+          // Re-fire this very event (slot + closure reused, zero churn);
+          // retag so the probe keeps the tx_done/txop_burst split.
+          loop_.RearmCurrentAt(busy_until_, "wifi.txop_burst");
           continued = true;
         }
       }
@@ -356,16 +330,15 @@ void Channel::FinishTransmissions(sim::Time end) {
   }
 
   if (!continued) BeginIdlePeriod();
-  // Deliver the staged frame inline (batching mode), AFTER the medium-state
-  // transition above: the owner hook observes exactly the channel state the
-  // scheduled delivery event used to observe, and its reactions (Enqueue ->
-  // Join -> arbitration re-arm, with their RNG draws) happen in the same
-  // relative order.
+  // Deliver the staged frame inline, AFTER the medium-state transition
+  // above: the owner hook observes exactly the channel state a zero-delay
+  // delivery event would observe, and its reactions (Enqueue -> Join ->
+  // arbitration re-arm, with their RNG draws) happen in the same relative
+  // order.
   DrainStagedDeliveries();
 }
 
 void Channel::DrainStagedDeliveries() {
-  if (!delivery_batching_) return;  // ring is owned by scheduled events.
   while (!deliver_stage_.empty()) {
     Frame& staged = deliver_stage_.front();
     Owner& owner = owners_[staged.dest];
@@ -390,7 +363,7 @@ void Channel::DrainStagedDeliveries() {
     deliver_stage_.pop_front();
     // The elided "wifi.deliver" dispatch still counts as a logical event:
     // executed() is a golden-corpus observable and must not move with the
-    // batching optimization.
+    // inline drain.
     loop_.CountInlineDispatches(1);
   }
 }
@@ -457,24 +430,12 @@ void Channel::HandleSuccess(ContenderId id, sim::Time end) {
       copies = 1 + std::max(fault.duplicates, 0);
     }
     // Deliver at the end of the frame (now). The common (unfaulted,
-    // undelayed) frame is moved into the staging ring: with batching on,
+    // undelayed) frame is moved into the staging ring, and
     // FinishTransmissions drains it inline right after the medium-state
-    // transition (one dispatch for the whole frame cycle); with batching
-    // off, a "wifi.deliver" event capturing only `this` pops it — staged
-    // events fire FIFO in exactly their scheduling order (see
-    // deliver_stage_).
+    // transition (one dispatch for the whole frame cycle).
     if (deliver_at == end && copies == 1 &&
         deliver_stage_.push_back(std::move(frame))) {
       c.queue.pop_front();
-      if (!delivery_batching_) {
-        auto deliver = [this] {
-          Frame& staged = deliver_stage_.front();
-          owners_[staged.dest].on_delivery(std::move(staged));
-          deliver_stage_.pop_front();
-        };
-        static_assert(sim::InlineTask::fits_inline<decltype(deliver)>);
-        loop_.ScheduleAt(deliver_at, "wifi.deliver", std::move(deliver));
-      }
     } else {
       // Delayed or duplicated deliveries (fault hook) and staging-ring
       // overflow tolerate arbitrary ordering, so they ride the

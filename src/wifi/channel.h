@@ -81,9 +81,8 @@ using FrameErrorModel =
 /// indirect call, no allocation), per-contender queues are sim::FrameRing
 /// (index arithmetic, no deque segment churn), and the contention math —
 /// countdown bases, backoff counters, the CW ladder — lives in wifi::EdcaCore
-/// as struct-of-arrays columns swept in batched, largely branchless passes
-/// (vectorized with SSE2/NEON kernels where the timing permits — see
-/// wifi/edca_simd.h) with generation-stamped lazy backlog removal. Per-frame
+/// as struct-of-arrays columns swept in batched, branchless scalar passes
+/// with generation-stamped lazy backlog removal. Per-frame
 /// airtime goes through a small shared (rate, size) -> duration table
 /// (wifi::AirtimeCache), so the PHY airtime division runs once per frame
 /// SHAPE per run, not per contender transition. TXOP bursts ride ONE
@@ -190,21 +189,6 @@ class Channel {
   };
   void SetStageProfile(StageProfile* profile) { stage_profile_ = profile; }
 
-  /// Burst delivery batching: when on (the default), a delivered frame's
-  /// owner hook runs inline at the tail of the finishing tx event — exact
-  /// same tick, exact same hook order, one event-loop dispatch per burst
-  /// frame instead of two — and TXOP continuations rearm the finish event in
-  /// place instead of scheduling a fresh one. Off restores the pre-batching
-  /// scheduled-delivery path (kept as the differential reference; the golden
-  /// corpus must be byte-identical either way). Per-instance; flip only at
-  /// setup.
-  void SetDeliveryBatching(bool enabled) { delivery_batching_ = enabled; }
-  [[nodiscard]] bool delivery_batching() const { return delivery_batching_; }
-  /// Process-wide default for channels constructed afterwards (test-only:
-  /// lets the golden on/off differential reach channels built deep inside
-  /// scenario runners). Not thread-safe; set it before spawning workers.
-  static void SetDefaultDeliveryBatchingForTest(bool enabled);
-
   /// Rebuilds the delivery staging ring with `capacity` slots (test-only:
   /// forces the overflow fallback path; capacity 0 rejects every push).
   void SetDeliverStageCapacityForTest(std::size_t capacity);
@@ -232,9 +216,9 @@ class Channel {
   /// Airtime of `f` through the shared shape cache (profiled when a
   /// StageProfile is attached).
   [[nodiscard]] sim::Duration FrameAirtimeCached(const Frame& f);
-  /// Invokes every staged owner hook (batching mode), counting each as a
-  /// logical dispatch so EventLoop::executed() — a golden-corpus observable —
-  /// matches the scheduled-delivery path exactly.
+  /// Invokes every staged owner hook, counting each as a logical dispatch so
+  /// EventLoop::executed() — a golden-corpus observable — counts one
+  /// "wifi.deliver" event per delivered frame, as a scheduled delivery would.
   void DrainStagedDeliveries();
   void BeginIdlePeriod();
   void ScheduleArbitration();
@@ -270,20 +254,16 @@ class Channel {
 
   /// The single transmission set currently on the air (the medium is a
   /// mutex: once busy_, no further arbitration fires until tx_done). Kept as
-  /// a member so the tx_done closure captures nothing but `this` and the
-  /// end time — the per-transmission vector allocations this replaces were
+  /// a member so the tx_done closure captures nothing but `this` — the
+  /// per-transmission vector allocations this replaces were
   /// a top line in the fig10 profile.
   std::vector<ContenderId> in_flight_;
   /// Staging ring for same-tick deliveries: the common (unfaulted,
-  /// undelayed) delivered frame is moved here and its "wifi.deliver" event
-  /// captures only [this, dest] — 16 bytes instead of a 200-byte
-  /// Frame-by-value closure, which removes a 184-byte copy plus the fat
-  /// InlineTask slot traffic from every delivery. Safe because staged
-  /// deliveries are popped FIFO in exactly their scheduling order: same-tick
-  /// events dispatch in FIFO order, every staged event drains before the
-  /// clock can advance, and nothing else touches the ring mid-invoke.
-  /// Delayed / duplicated deliveries (fault hook) and ring overflow fall
-  /// back to the by-value closure, which tolerates any ordering.
+  /// undelayed) delivered frame is moved here and DrainStagedDeliveries runs
+  /// its owner hook inline at the tail of FinishTransmissions — no event and
+  /// no 200-byte Frame-by-value closure. Delayed / duplicated deliveries
+  /// (fault hook) and ring overflow fall back to the by-value closure, which
+  /// tolerates any ordering.
   sim::FrameRing<Frame> deliver_stage_;
   // Scratch for StartTransmissions (not re-entrant; event-driven only).
   std::vector<ContenderId> winners_scratch_;
@@ -294,7 +274,6 @@ class Channel {
   std::uint64_t collisions_ = 0;
   std::uint64_t txop_continuations_ = 0;
 
-  bool delivery_batching_ = true;  ///< see SetDeliveryBatching.
   StageProfile* stage_profile_ = nullptr;
 };
 

@@ -2,28 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-
-#include "wifi/edca_simd.h"
 
 namespace kwikr::wifi {
 
-EdcaCore::EdcaCore(sim::Duration slot) : slot_(slot), slot_div_(slot) {
-  SetSimdEnabled(edca_simd::kHaveSimd &&
-                 std::getenv("KWIKR_EDCA_NO_SIMD") == nullptr);
-}
-
-void EdcaCore::SetSimdEnabled(bool enabled) {
-  simd_enabled_ = enabled;
-  // Value-range gates (see wifi/edca_simd.h): the min-scan multiplies
-  // backoff (u32) by slot (must fit u32); the freeze kernel replays the
-  // FastDiv multiply-shift with a 32x32->64 lane multiply, so the magic must
-  // exist and fit u32 (slot >= 2^8 with the 2^40 shift). Default WMM timing
-  // (slot = 9000 ns, magic ~ 1.22e8) passes both.
-  simd_ok_ = simd_enabled_ && edca_simd::kHaveSimd && slot_ > 0 &&
-             static_cast<std::uint64_t>(slot_) <= 0xFFFFFFFFull &&
-             slot_div_.magic() != 0 && slot_div_.magic() <= 0xFFFFFFFFull;
-}
+EdcaCore::EdcaCore(sim::Duration slot) : slot_(slot), slot_div_(slot) {}
 
 ContenderId EdcaCore::Add(sim::Duration aifs, int cw_min, int cw_max) {
   base_.push_back(0);
@@ -71,17 +53,8 @@ sim::Time EdcaCore::BeginIdle(sim::Time now, sim::Rng& rng) {
     counting_[id] = 1;
     DrawIfNeeded(id, rng);
   });
-  // Batched candidate computation + min-scan. After the scalar pass the
-  // counting flag marks exactly the live backlog members (counting implies
-  // live — every Leave/OnTxFailure clears it), so the vector path can sweep
-  // the full columns [0, size()) gather-free with counting_ as the mask and
-  // compute the identical minimum; see wifi/edca_simd.h.
-  if (UseSimd(n)) {
-    return edca_simd::MinCandidateMasked(
-        base_.data(), backoff_.data(), counting_.data(), size(),
-        static_cast<std::uint32_t>(slot_));
-  }
-  // Scalar: every live contender is counting here, so no mask is needed.
+  // Batched candidate computation + min-scan: every live contender is
+  // counting here, so no mask is needed.
   sim::Time earliest = kNoCandidate;
   for (std::size_t i = 0; i < n; ++i) {
     const ContenderId id = backlogged_[i].id;
@@ -98,14 +71,7 @@ sim::Time EdcaCore::EarliestCandidate(sim::Rng& rng) {
   });
   // Batched candidate + min-scan, masking out non-counting contenders with
   // a conditional move (their base/backoff may be stale but are always
-  // initialized, so the dead lane's arithmetic is well-defined). The vector
-  // path sweeps the full columns with the same counting mask — counting
-  // lanes are all live and freshly drawn, masked lanes contribute nothing.
-  if (UseSimd(n)) {
-    return edca_simd::MinCandidateMasked(
-        base_.data(), backoff_.data(), counting_.data(), size(),
-        static_cast<std::uint32_t>(slot_));
-  }
+  // initialized, so the dead lane's arithmetic is well-defined).
   sim::Time earliest = kNoCandidate;
   for (std::size_t i = 0; i < n; ++i) {
     const ContenderId id = backlogged_[i].id;
@@ -122,33 +88,17 @@ void EdcaCore::Arbitrate(sim::Time start, std::vector<ContenderId>& winners) {
   // column, and collect the winners in backlog order. Counting contenders
   // always have a drawn backoff here (the sweep that armed this arbitration
   // drew them).
-  // `wide` flags any live counting lane whose idle delta falls outside the
-  // FastDiv fast window; the vector freeze replays the multiply-shift
-  // unconditionally, so such a round must take the scalar pass (whose
-  // Divide() falls back to the exact hardware divide).
-  bool wide = false;
   const std::size_t n = CompactBacklog([&](ContenderId id) {
     const sim::Time cand =
         base_[id] + static_cast<sim::Duration>(backoff_[id]) * slot_;
     cand_[id] = cand;
-    if (counting_[id] != 0) {
-      if (cand == start) winners.push_back(id);
-      wide |= start - base_[id] >= sim::FastDiv::kMaxFastDividend;
-    }
+    if (counting_[id] != 0 && cand == start) winners.push_back(id);
   });
   // Pass 2 (branchless): freeze every counting non-winner — decrement its
   // backoff by the idle slots consumed before `start` and stop its
   // countdown; winners keep counting, non-counting lanes are untouched.
-  // The slot division is a FastDiv multiply, exact by construction. The
-  // vector path sweeps the full columns: non-counting lanes blend through
-  // unchanged (stale cand_ entries are masked by the counting flag), and
-  // every counting lane was refreshed by pass 1 above.
-  if (!wide && UseSimd(n)) {
-    edca_simd::FreezeColumns(start, base_.data(), cand_.data(),
-                             backoff_.data(), counting_.data(), size(),
-                             slot_div_.magic());
-    return;
-  }
+  // The slot division is a FastDiv multiply, exact by construction (an
+  // out-of-window delta takes Divide()'s exact hardware-divide fallback).
   for (std::size_t i = 0; i < n; ++i) {
     const ContenderId id = backlogged_[i].id;
     const bool was_counting = counting_[id] != 0;

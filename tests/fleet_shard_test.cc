@@ -235,6 +235,24 @@ TEST(RegistryCodec, MalformedLineFailsWithoutMutatingTarget) {
   EXPECT_EQ(into.size(), 1u);
 }
 
+TEST(RegistryCodec, OverflowingCounterFailsWithoutMutatingTarget) {
+  obs::MetricsRegistry source;
+  source.GetCounter("big").Add(7);
+  const std::string line = obs::SerializeRegistry(source);
+  const std::string value = "\"value\":7";
+  const std::size_t at = line.find(value);
+  ASSERT_NE(at, std::string::npos) << line;
+  std::string overflowing = line;
+  overflowing.replace(at, value.size(), "\"value\":18446744073709551616");
+  if (!overflowing.empty() && overflowing.back() == '\n') {
+    overflowing.pop_back();
+  }
+  obs::MetricsRegistry into;
+  std::string error;
+  EXPECT_FALSE(obs::MergeSerializedRegistryLine(overflowing, &into, &error));
+  EXPECT_EQ(into.size(), 0u);
+}
+
 // ------------------------------------------------- wild-call codec -------
 
 scenario::WildCallResult SampleResult() {
@@ -280,6 +298,70 @@ TEST(WildCallCodec, RejectsMalformedLines) {
   tampered.replace(at, 7, "\"wmm\":9");
   EXPECT_FALSE(scenario::DecodeWildCallLine(tampered, &index, &decoded));
   EXPECT_FALSE(scenario::DecodeWildCallLine("", &index, &decoded));
+}
+
+/// Replaces the digits of integer field `key` in `line` with `digits`.
+std::string WithIntField(std::string line, const std::string& key,
+                         const std::string& digits) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = line.find(needle);
+  EXPECT_NE(at, std::string::npos) << key;
+  const std::size_t begin = at + needle.size();
+  const std::size_t end = line.find_first_not_of("0123456789", begin);
+  return line.replace(begin, end - begin, digits);
+}
+
+TEST(WildCallCodec, RejectsOverflowingIntegers) {
+  scenario::WildCallResult max_events = SampleResult();
+  max_events.events_executed = UINT64_MAX;
+  const std::string line = scenario::EncodeWildCallLine(UINT64_MAX, max_events);
+  std::uint64_t index = 0;
+  scenario::WildCallResult decoded;
+  // 18446744073709551615 is the largest value and must round-trip.
+  ASSERT_TRUE(scenario::DecodeWildCallLine(line, &index, &decoded));
+  EXPECT_EQ(index, UINT64_MAX);
+  EXPECT_EQ(decoded.events_executed, UINT64_MAX);
+  EXPECT_EQ(scenario::EncodeWildCallLine(index, decoded), line);
+  // One past it used to wrap silently to 0.
+  EXPECT_FALSE(scenario::DecodeWildCallLine(
+      WithIntField(line, "call", "18446744073709551616"), &index, &decoded));
+  EXPECT_FALSE(scenario::DecodeWildCallLine(
+      WithIntField(line, "events", "18446744073709551616"), &index,
+      &decoded));
+  EXPECT_FALSE(scenario::DecodeWildCallLine(
+      WithIntField(line, "events", "100000000000000000000000"), &index,
+      &decoded));
+  // The int fields reject values above INT_MAX instead of narrowing.
+  EXPECT_TRUE(scenario::DecodeWildCallLine(
+      WithIntField(line, "probe_samples", "2147483647"), &index, &decoded));
+  EXPECT_EQ(decoded.probe_samples, 2147483647);
+  EXPECT_FALSE(scenario::DecodeWildCallLine(
+      WithIntField(line, "probe_samples", "2147483648"), &index, &decoded));
+  EXPECT_FALSE(scenario::DecodeWildCallLine(
+      WithIntField(line, "cross_stations", "4294967297"), &index, &decoded));
+}
+
+TEST(CheckpointCodec, RejectsOverflowingIntegers) {
+  fleet::CheckpointManifest manifest;
+  manifest.fingerprint = "seed=1";
+  manifest.shard = 2;
+  manifest.shard_count = 3;
+  manifest.range_begin = 10;
+  manifest.range_end = UINT64_MAX;
+  manifest.completed = 12;
+  const std::string text = fleet::EncodeCheckpointManifest(manifest);
+  fleet::CheckpointManifest decoded;
+  ASSERT_TRUE(fleet::DecodeCheckpointManifest(text, &decoded));
+  EXPECT_EQ(decoded.range_end, UINT64_MAX);
+  EXPECT_EQ(fleet::EncodeCheckpointManifest(decoded), text);
+  EXPECT_FALSE(fleet::DecodeCheckpointManifest(
+      WithIntField(text, "range_end", "18446744073709551616"), &decoded));
+  EXPECT_FALSE(fleet::DecodeCheckpointManifest(
+      WithIntField(text, "completed", "99999999999999999999"), &decoded));
+  EXPECT_FALSE(fleet::DecodeCheckpointManifest(
+      WithIntField(text, "shard", "2147483648"), &decoded));
+  EXPECT_FALSE(fleet::DecodeCheckpointManifest(
+      WithIntField(text, "processes", "4294967297"), &decoded));
 }
 
 // ------------------------------------------- inline worker + resume ------

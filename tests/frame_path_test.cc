@@ -11,10 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -23,7 +20,6 @@
 #include "fleet/fleet_runner.h"
 #include "fleet/scenario_shards.h"
 #include "net/packet.h"
-#include "scenario/fault_scenario.h"
 #include "scenario/wild_population.h"
 #include "sim/event_loop.h"
 #include "sim/fastdiv.h"
@@ -35,7 +31,6 @@
 #include "wifi/channel.h"
 #include "wifi/edca.h"
 #include "wifi/edca_core.h"
-#include "wifi/edca_simd.h"
 
 namespace kwikr {
 namespace {
@@ -340,6 +335,9 @@ class ScalarEdcaReference {
   [[nodiscard]] bool in_backlog(wifi::ContenderId id) const {
     return contenders_[id].in_backlog;
   }
+  /// Freezes whose elapsed time lies outside sim::FastDiv's multiply window,
+  /// i.e. the ones the batched core must divide on its exact fallback.
+  [[nodiscard]] std::int64_t wide_freezes() const { return wide_freezes_; }
 
   void Join(wifi::ContenderId id, sim::Time now, bool medium_idle) {
     // Rejoining moves the contender to the back of the backlog walk — the
@@ -397,6 +395,7 @@ class ScalarEdcaReference {
         continue;
       }
       const sim::Duration delta = start - c.base;
+      if (delta >= sim::FastDiv::kMaxFastDividend) ++wide_freezes_;
       const auto consumed =
           static_cast<int>(delta > 0 ? delta / slot_ : 0);
       c.backoff = std::max(0, c.backoff - consumed);
@@ -450,18 +449,32 @@ class ScalarEdcaReference {
   sim::Duration slot_;
   std::vector<Contender> contenders_;
   std::vector<wifi::ContenderId> order_;  ///< backlog, insertion-ordered.
+  std::int64_t wide_freezes_ = 0;
 };
 
-/// The 10^5-round randomized differential, parameterized on the vector
-/// sweeps: run once with the SIMD kernels enabled (where compiled in) and
-/// once force-disabled, so BOTH generations of the batched core are pinned
-/// against the scalar reference — the contract KWIKR_EDCA_NO_SIMD relies on.
-void RunEdcaCoreDifferential(bool simd_enabled) {
+/// One access category's timing for the differential: AIFS in slots and
+/// the CW ladder.
+struct EdcaAcTiming {
+  int aifs_slots;
+  int cw_min;
+  int cw_max;
+};
+
+/// Mixed access-category timing: VO/VI/BE/BK-flavoured AIFS and CW ladders,
+/// so sweeps always mix short and long windows.
+constexpr EdcaAcTiming kMixedAcTiming[4] = {
+    {2, 3, 7}, {2, 7, 15}, {3, 15, 1023}, {7, 15, 1023}};
+
+/// The 10^5-round randomized differential: the batched branchless core
+/// against the per-contender scalar reference, draw for draw. Three
+/// contenders per access category. Reports how many freezes fell outside
+/// the FastDiv multiply window.
+void RunEdcaCoreDifferential(sim::Duration slot,
+                             const EdcaAcTiming (&timing)[4],
+                             std::int64_t& wide_freezes) {
   constexpr int kContenders = 12;
   constexpr int kRounds = 100'000;
-  const sim::Duration slot = sim::Micros(9);
   wifi::EdcaCore core(slot);
-  core.SetSimdEnabled(simd_enabled);
   ScalarEdcaReference ref(slot);
   // Both machines consume from identically seeded streams: any divergence
   // in draw ORDER (not just draw values) desynchronizes the streams and
@@ -470,22 +483,11 @@ void RunEdcaCoreDifferential(bool simd_enabled) {
   sim::Rng ref_rng(0xEDCA0001);
   sim::Rng control(0xC0FFEE);
 
-  // Mixed access-category timing: VO/VI/BE/BK-flavoured AIFS and CW ladders,
-  // three contenders of each, so sweeps always mix short and long windows.
-  const struct {
-    sim::Duration aifs;
-    int cw_min;
-    int cw_max;
-  } kParams[] = {
-      {slot * 2, 3, 7},
-      {slot * 2, 7, 15},
-      {slot * 3, 15, 1023},
-      {slot * 7, 15, 1023},
-  };
   for (int i = 0; i < kContenders; ++i) {
-    const auto& p = kParams[i % 4];
-    ASSERT_EQ(core.Add(p.aifs, p.cw_min, p.cw_max),
-              ref.Add(p.aifs, p.cw_min, p.cw_max));
+    const EdcaAcTiming& t = timing[i % 4];
+    const sim::Duration aifs = slot * t.aifs_slots;
+    ASSERT_EQ(core.Add(aifs, t.cw_min, t.cw_max),
+              ref.Add(aifs, t.cw_min, t.cw_max));
   }
 
   sim::Time now = 0;
@@ -584,97 +586,27 @@ void RunEdcaCoreDifferential(bool simd_enabled) {
   // The workload must actually contend most rounds, or the test proves
   // nothing about arbitration.
   EXPECT_GT(arbitrations, kRounds / 2);
+  wide_freezes = ref.wide_freezes();
 }
 
-TEST(EdcaCoreDifferential, MatchesScalarReferenceWithSimdEnabled) {
-  RunEdcaCoreDifferential(/*simd_enabled=*/true);
+// The 9 us OFDM slot: every freeze (< cw_max * slot ~ 9.2 ms) divides on
+// the FastDiv multiply.
+TEST(EdcaCoreDifferential, BatchedCoreMatchesScalarReference) {
+  std::int64_t wide_freezes = -1;
+  RunEdcaCoreDifferential(sim::Micros(9), kMixedAcTiming, wide_freezes);
+  EXPECT_EQ(wide_freezes, 0);
 }
 
-TEST(EdcaCoreDifferential, MatchesScalarReferenceWithSimdForceDisabled) {
-  RunEdcaCoreDifferential(/*simd_enabled=*/false);
-}
-
-// ------------------------------------------------- SIMD kernel unit tests ----
-// The vector kernels (SSE2/NEON where compiled in; scalar aliases otherwise)
-// against the branchless scalar forms over randomized columns, including the
-// dead-lane garbage the full-column sweeps are specified to tolerate:
-// undrawn backoffs (-1), stale bases, stale candidate times.
-
-TEST(EdcaSimdKernels, MinCandidateMatchesScalarOnRandomColumns) {
-  sim::Rng rng(0x51D0'0001);
-  constexpr std::uint32_t kSlot = 9'000;
-  for (int trial = 0; trial < 2'000; ++trial) {
-    const auto n = static_cast<std::size_t>(rng.UniformInt(0, 33));
-    std::vector<sim::Time> base(n);
-    std::vector<std::int32_t> backoff(n);
-    std::vector<std::uint8_t> counting(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      base[i] = rng.UniformInt(0, 1'000'000'000'000);
-      counting[i] = rng.Bernoulli(0.6) ? 1 : 0;
-      // Counting lanes have a drawn backoff (the kernel contract); dead
-      // lanes may carry the undrawn sentinel.
-      backoff[i] = counting[i] != 0 || rng.Bernoulli(0.5)
-                       ? static_cast<std::int32_t>(rng.UniformInt(0, 1023))
-                       : -1;
-    }
-    EXPECT_EQ(wifi::edca_simd::MinCandidateMasked(
-                  base.data(), backoff.data(), counting.data(), n, kSlot),
-              wifi::edca_simd::MinCandidateMaskedScalar(
-                  base.data(), backoff.data(), counting.data(), n, kSlot))
-        << "trial " << trial << " n " << n;
-  }
-}
-
-TEST(EdcaSimdKernels, FreezeColumnsMatchesScalarOnRandomColumns) {
-  sim::Rng rng(0x51D0'0002);
-  constexpr sim::Duration kSlot = 9'000;
-  const std::uint64_t magic = sim::FastDiv(kSlot).magic();
-  ASSERT_NE(magic, 0u);
-  ASSERT_LE(magic, 0xFFFFFFFFull);
-  for (int trial = 0; trial < 2'000; ++trial) {
-    const auto n = static_cast<std::size_t>(rng.UniformInt(0, 33));
-    // start anywhere that keeps counting-lane deltas inside the FastDiv
-    // fast window — the same per-arbitration gate EdcaCore enforces.
-    const sim::Time start =
-        rng.UniformInt(0, sim::FastDiv::kMaxFastDividend / 2);
-    std::vector<sim::Time> base(n);
-    std::vector<sim::Time> cand(n);
-    std::vector<std::int32_t> backoff_a(n);
-    std::vector<std::uint8_t> counting_a(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      counting_a[i] = rng.Bernoulli(0.6) ? 1 : 0;
-      if (counting_a[i] != 0) {
-        backoff_a[i] = static_cast<std::int32_t>(rng.UniformInt(0, 1023));
-        // delta = start - base in (-2^20, 2^23): winners, losers, and the
-        // negative-delta (base after start) edge all occur.
-        base[i] = start - rng.UniformInt(-(1 << 20), 1 << 23);
-        // Pass 1 refreshed counting lanes' cand; make ~1/3 of them winners.
-        cand[i] = rng.Bernoulli(0.33)
-                      ? start
-                      : base[i] + static_cast<sim::Duration>(backoff_a[i]) *
-                                      kSlot;
-      } else {
-        // Dead lanes: arbitrary stale state, including cand == start.
-        backoff_a[i] = rng.Bernoulli(0.5)
-                           ? -1
-                           : static_cast<std::int32_t>(
-                                 rng.UniformInt(0, 1023));
-        base[i] = rng.UniformInt(0, 1'000'000'000'000);
-        cand[i] = rng.Bernoulli(0.2) ? start
-                                     : rng.UniformInt(0, 1'000'000'000'000);
-      }
-    }
-    std::vector<std::int32_t> backoff_b = backoff_a;
-    std::vector<std::uint8_t> counting_b = counting_a;
-    wifi::edca_simd::FreezeColumns(start, base.data(), cand.data(),
-                                   backoff_a.data(), counting_a.data(), n,
-                                   magic);
-    wifi::edca_simd::FreezeColumnsScalar(start, base.data(), cand.data(),
-                                         backoff_b.data(), counting_b.data(),
-                                         n, magic);
-    EXPECT_EQ(backoff_a, backoff_b) << "trial " << trial << " n " << n;
-    EXPECT_EQ(counting_a, counting_b) << "trial " << trial << " n " << n;
-  }
+// The 52 us S1G slot puts the FastDiv window edge (2^24 ns) at ~322 slots.
+// Wide contention windows make every contender draw past it often enough
+// that freezes fall on both sides of the edge; both must stay exact.
+TEST(EdcaCoreDifferential,
+     BatchedCoreMatchesScalarReferenceAcrossFastDivWindow) {
+  constexpr EdcaAcTiming kWideAcTiming[4] = {
+      {2, 511, 1023}, {3, 511, 1023}, {3, 1023, 1023}, {7, 1023, 1023}};
+  std::int64_t wide_freezes = -1;
+  RunEdcaCoreDifferential(sim::Micros(52), kWideAcTiming, wide_freezes);
+  EXPECT_GT(wide_freezes, 0);
 }
 
 // ------------------------------------------------------- AirtimeCache ----
@@ -816,17 +748,15 @@ TEST(EventLoopRearm, CountInlineDispatchesFeedsExecuted) {
   EXPECT_EQ(loop.executed(), 42u);
 }
 
-// ------------------------------------------------- burst delivery batching ----
+// ---------------------------------------------------------- burst delivery ----
 
 /// Closed-loop AP->station harness that records every delivery as
 /// (flow, sim time): a BE bulk downlink plus a VI downlink whose TXOP limit
-/// makes bursts happen, so the batching on/off differential covers both the
-/// fresh-win path and the rearm continuation path.
+/// makes bursts happen, so a run covers both the fresh-win path and the
+/// rearm continuation path.
 class RecordingBss {
  public:
-  explicit RecordingBss(bool batching)
-      : channel_(loop_, sim::Rng(0xB0B0)) {
-    channel_.SetDeliveryBatching(batching);
+  RecordingBss() : channel_(loop_, sim::Rng(0xB0B0)) {
     const auto handler =
         wifi::Channel::DeliveryHandler::Member<&RecordingBss::OnDelivery>(
             this);
@@ -885,29 +815,11 @@ class RecordingBss {
   std::vector<std::pair<std::uint32_t, sim::Time>> deliveries_;
 };
 
-TEST(BurstDelivery, HookOrderAndTimestampsIdenticalBatchingOnAndOff) {
-  RecordingBss on(/*batching=*/true);
-  RecordingBss off(/*batching=*/false);
-  on.RunFor(sim::Millis(200));
-  off.RunFor(sim::Millis(200));
-  ASSERT_GT(on.deliveries().size(), 500u);
-  // The whole contract in one comparison: every delivery hook fires for the
-  // same frame at the same sim tick in the same order, and the logical
-  // event count (CountInlineDispatches compensation) matches the scheduled
-  // path exactly.
-  EXPECT_EQ(on.deliveries(), off.deliveries());
-  EXPECT_EQ(on.executed(), off.executed());
-  // The batching run must actually have exercised the rearm continuation.
-  EXPECT_GT(on.channel().txop_continuations(), 0u);
-  EXPECT_EQ(on.channel().txop_continuations(),
-            off.channel().txop_continuations());
-}
-
 TEST(BurstDelivery, StageOverflowFallsBackToScheduledDelivery) {
-  RecordingBss normal(/*batching=*/true);
-  RecordingBss starved(/*batching=*/true);
+  RecordingBss normal;
+  RecordingBss starved;
   // Capacity 0 rejects every push: EVERY delivery takes the by-value
-  // fallback closure, with batching still on.
+  // fallback closure.
   starved.channel().SetDeliverStageCapacityForTest(0);
   normal.RunFor(sim::Millis(100));
   starved.RunFor(sim::Millis(100));
@@ -916,47 +828,6 @@ TEST(BurstDelivery, StageOverflowFallsBackToScheduledDelivery) {
   // timestamps are unchanged — only the vehicle differs.
   EXPECT_EQ(normal.deliveries(), starved.deliveries());
   EXPECT_EQ(normal.executed(), starved.executed());
-}
-
-// ------------------------------------- golden corpus batching differential ----
-
-TEST(GoldenCorpusBatchingDifferential, ByteIdenticalWithBatchingOnAndOff) {
-  namespace fs = std::filesystem;
-  const fs::path corpus(KWIKR_GOLDEN_DIR);
-  ASSERT_TRUE(fs::exists(corpus)) << corpus;
-  int scenarios = 0;
-  for (const auto& entry : fs::directory_iterator(corpus)) {
-    if (entry.path().extension() != ".scenario") continue;
-    ++scenarios;
-    std::ifstream in(entry.path(), std::ios::binary);
-    ASSERT_TRUE(in) << entry.path();
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    scenario::FaultScenario parsed;
-    std::string error;
-    ASSERT_TRUE(scenario::ParseFaultScenario(buf.str(), &parsed, &error))
-        << entry.path() << ": " << error;
-
-    wifi::Channel::SetDefaultDeliveryBatchingForTest(true);
-    const std::string with_batching =
-        scenario::ToCanonicalJson(scenario::RunFaultScenario(parsed));
-    wifi::Channel::SetDefaultDeliveryBatchingForTest(false);
-    const std::string without_batching =
-        scenario::ToCanonicalJson(scenario::RunFaultScenario(parsed));
-    wifi::Channel::SetDefaultDeliveryBatchingForTest(true);
-
-    // Byte-identical against each other AND against the committed corpus:
-    // batching may not move a single observable, including events_executed.
-    EXPECT_EQ(with_batching, without_batching) << entry.path();
-    std::ifstream want(fs::path(entry.path()).replace_extension(
-                           ".expected.json"),
-                       std::ios::binary);
-    ASSERT_TRUE(want) << entry.path();
-    std::ostringstream want_buf;
-    want_buf << want.rdbuf();
-    EXPECT_EQ(with_batching, want_buf.str()) << entry.path();
-  }
-  EXPECT_GT(scenarios, 0);
 }
 
 // ---------------------------------------------------- MergeShardStreams ----
@@ -976,6 +847,21 @@ TEST(MergeShardStreams, UntimedLinesInheritThePrecedingStamp) {
   const std::string b = "{\"t\":-3}\n{\"t\":9}\n";
   EXPECT_EQ(fleet::MergeShardStreams({a, b}),
             "{\"t\":-3}\n{\"t\":8}\n{\"summary\":1}\n{\"t\":9}\n");
+}
+
+TEST(MergeShardStreams, OverflowingStampIsTreatedAsUntimed) {
+  // A 20-digit stamp does not fit an int64: the line is untimed and rides
+  // with its t:5 predecessor instead of wrapping to some arbitrary time.
+  const std::string a = "{\"t\":5}\n{\"t\":99999999999999999999}\n";
+  const std::string b = "{\"t\":7}\n";
+  EXPECT_EQ(fleet::MergeShardStreams({a, b}),
+            "{\"t\":5}\n{\"t\":99999999999999999999}\n{\"t\":7}\n");
+  // The int64 extremes still parse as stamps.
+  const std::string c = "{\"t\":9223372036854775807}\n";
+  const std::string d = "{\"t\":-9223372036854775808}\n{\"t\":0}\n";
+  EXPECT_EQ(fleet::MergeShardStreams({c, d}),
+            "{\"t\":-9223372036854775808}\n{\"t\":0}\n"
+            "{\"t\":9223372036854775807}\n");
 }
 
 TEST(MergeShardStreams, SingleStreamAndUntimedInputsAreIdentity) {

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
+#include "sim/decimal.h"
 #include "sim/event_loop.h"
+#include "sim/fastdiv.h"
 #include "sim/inline_task.h"
 #include "sim/rng.h"
 #include "sim/time.h"
@@ -525,61 +528,48 @@ TEST(InlineTask, InTreeEventClosureShapesFitInline) {
 
 // ------------------------------------------------- differential testing ----
 
-/// Naive reference scheduler: a flat vector scanned for the (time, seq)
-/// minimum on every step. Trivially correct; the real loop must match it
-/// operation for operation.
+/// Reference scheduler: an ordered set of (time, seq) keys plus a per-seq
+/// record table. No wheel, no heap, no tombstones — trivially correct, and
+/// O(log n) per operation so the 10^5-op differentials stay fast under the
+/// sanitizers. The real loop must match it operation for operation.
 class ReferenceScheduler {
  public:
   std::uint64_t Schedule(Time at, int tag) {
-    events_.push_back({std::max(at, now_), next_seq_++, tag, false});
-    return events_.back().seq;
+    const std::uint64_t seq = records_.size();
+    records_.push_back({std::max(at, now_), tag, true});
+    order_.emplace(records_.back().at, seq);
+    return seq;
   }
   bool Cancel(std::uint64_t seq) {
-    for (auto& e : events_) {
-      if (e.seq == seq && !e.cancelled) {
-        e.cancelled = true;
-        return true;
-      }
-    }
-    return false;
+    if (seq >= records_.size() || !records_[seq].pending) return false;
+    records_[seq].pending = false;
+    order_.erase({records_[seq].at, seq});
+    return true;
   }
   /// Runs the earliest live event; returns its tag or -1 when empty.
   int Step() {
-    std::size_t best = events_.size();
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-      if (events_[i].cancelled) continue;
-      if (best == events_.size() || events_[i].at < events_[best].at ||
-          (events_[i].at == events_[best].at &&
-           events_[i].seq < events_[best].seq)) {
-        best = i;
-      }
-    }
-    if (best == events_.size()) return -1;
-    const int tag = events_[best].tag;
-    now_ = events_[best].at;
-    events_.erase(events_.begin() + static_cast<std::ptrdiff_t>(best));
-    events_.erase(std::remove_if(events_.begin(), events_.end(),
-                                 [](const auto& e) { return e.cancelled; }),
-                  events_.end());
-    return tag;
+    if (order_.empty()) return -1;
+    const auto [at, seq] = *order_.begin();
+    order_.erase(order_.begin());
+    records_[seq].pending = false;
+    now_ = at;
+    ++executed_;
+    return records_[seq].tag;
   }
-  [[nodiscard]] std::size_t pending() const {
-    std::size_t n = 0;
-    for (const auto& e : events_) n += e.cancelled ? 0 : 1;
-    return n;
-  }
+  [[nodiscard]] std::size_t pending() const { return order_.size(); }
+  [[nodiscard]] std::uint64_t executed() const { return executed_; }
   [[nodiscard]] Time now() const { return now_; }
 
  private:
   struct Ref {
     Time at;
-    std::uint64_t seq;
     int tag;
-    bool cancelled;
+    bool pending;
   };
   Time now_ = 0;
-  std::uint64_t next_seq_ = 1;
-  std::vector<Ref> events_;
+  std::uint64_t executed_ = 0;
+  std::vector<Ref> records_;  ///< indexed by seq.
+  std::set<std::pair<Time, std::uint64_t>> order_;
 };
 
 // 10^5 randomized mixed schedule/cancel/run operations executed in lockstep
@@ -779,20 +769,21 @@ TEST(EventLoop, WheelIdleResyncSurvivesFarFutureCancelChurn) {
   }
 }
 
-// 10^5 randomized schedule/cancel/step operations executed in lockstep on a
-// wheel-mode loop and a heap-only loop: the wheel (with its sparse-regime
-// heap fallback and cascades) must be observationally indistinguishable
-// from the plain heap — same execution order, clock, cancel results, and
-// pending counts. Deltas mix the now-queue, L0, L1, and overflow scales so
-// the population migrates between every regime.
-TEST(EventLoop, WheelDifferentialAgainstHeapOnlyScheduler) {
-  EventLoop wheel(SchedulerMode::kWheel);
-  EventLoop heap(SchedulerMode::kHeapOnly);
+// 10^5 randomized schedule/cancel/step operations executed in lockstep on
+// the wheel loop and the reference scheduler: the wheel (with its
+// sparse-regime heap fallback and cascades) must be observationally
+// indistinguishable from the plain (time, seq) order — same execution order,
+// clock, cancel results, pending and executed counts. Deltas mix the
+// now-queue, L0, L1, and overflow scales so the population migrates between
+// every regime.
+TEST(EventLoop, WheelDifferentialAgainstReferenceScheduler) {
+  EventLoop wheel;
+  ReferenceScheduler ref;
   Rng rng(0x5EED'0002u);
   std::vector<int> wheel_log;
-  std::vector<int> heap_log;
+  std::vector<int> ref_log;
   std::vector<EventId> wheel_ids;
-  std::vector<EventId> heap_ids;
+  std::vector<std::uint64_t> ref_ids;
   int next_tag = 0;
 
   for (int op = 0; op < 100'000; ++op) {
@@ -808,36 +799,109 @@ TEST(EventLoop, WheelDifferentialAgainstHeapOnlyScheduler) {
       const int tag = next_tag++;
       wheel_ids.push_back(
           wheel.ScheduleAt(at, [tag, &wheel_log] { wheel_log.push_back(tag); }));
-      heap_ids.push_back(
-          heap.ScheduleAt(at, [tag, &heap_log] { heap_log.push_back(tag); }));
+      ref_ids.push_back(ref.Schedule(at, tag));
     } else if (roll < 8) {  // cancel a random past id, maybe stale (30%)
       if (!wheel_ids.empty()) {
         const auto pick = static_cast<std::size_t>(
             rng.UniformInt(0, static_cast<int>(wheel_ids.size()) - 1));
-        ASSERT_EQ(wheel.Cancel(wheel_ids[pick]), heap.Cancel(heap_ids[pick]))
+        ASSERT_EQ(wheel.Cancel(wheel_ids[pick]), ref.Cancel(ref_ids[pick]))
             << "op " << op;
       }
     } else {  // step one event (20%)
       const bool wheel_ran = wheel.Step();
-      const bool heap_ran = heap.Step();
-      ASSERT_EQ(wheel_ran, heap_ran) << "op " << op;
+      const int ref_tag = ref.Step();
+      ASSERT_EQ(wheel_ran, ref_tag != -1) << "op " << op;
       if (wheel_ran) {
-        ASSERT_EQ(wheel_log.size(), heap_log.size()) << "op " << op;
-        ASSERT_EQ(wheel_log.back(), heap_log.back()) << "op " << op;
-        ASSERT_EQ(wheel.now(), heap.now()) << "op " << op;
+        ref_log.push_back(ref_tag);
+        ASSERT_EQ(wheel_log.size(), ref_log.size()) << "op " << op;
+        ASSERT_EQ(wheel_log.back(), ref_tag) << "op " << op;
+        ASSERT_EQ(wheel.now(), ref.now()) << "op " << op;
       }
     }
     if (op % 1024 == 0) {
-      ASSERT_EQ(wheel.pending(), heap.pending()) << "op " << op;
+      ASSERT_EQ(wheel.pending(), ref.pending()) << "op " << op;
+      ASSERT_EQ(wheel.executed(), ref.executed()) << "op " << op;
     }
   }
   wheel.Run();
-  heap.Run();
-  EXPECT_EQ(wheel_log, heap_log);
-  EXPECT_EQ(wheel.now(), heap.now());
+  for (int tag = ref.Step(); tag != -1; tag = ref.Step()) {
+    ref_log.push_back(tag);
+  }
+  EXPECT_EQ(wheel_log, ref_log);
+  EXPECT_EQ(wheel.now(), ref.now());
   EXPECT_EQ(wheel.pending(), 0u);
-  EXPECT_EQ(heap.pending(), 0u);
-  EXPECT_EQ(wheel.executed(), heap.executed());
+  EXPECT_EQ(ref.pending(), 0u);
+  EXPECT_EQ(wheel.executed(), ref.executed());
+}
+
+// ------------------------------------------------------------- decimal ----
+
+TEST(Decimal, U64AcceptsTheFullRangeAndRejectsOverflow) {
+  std::uint64_t value = 7;
+  std::size_t pos = 1;
+  EXPECT_TRUE(ParseDecimalU64("x18446744073709551615,", &pos, &value));
+  EXPECT_EQ(value, UINT64_MAX);
+  EXPECT_EQ(pos, 21u);
+  // Overflow and "no digit" leave the cursor and the output untouched.
+  for (const char* text : {"18446744073709551616", "99999999999999999999",
+                           "100000000000000000000", "", "-1", ",5"}) {
+    value = 7;
+    pos = 0;
+    EXPECT_FALSE(ParseDecimalU64(text, &pos, &value)) << text;
+    EXPECT_EQ(value, 7u) << text;
+    EXPECT_EQ(pos, 0u) << text;
+  }
+  pos = 0;
+  EXPECT_TRUE(ParseDecimalU64("000000000000000000000042", &pos, &value));
+  EXPECT_EQ(value, 42u);
+}
+
+TEST(Decimal, I64AcceptsExactlyTheInt64Range) {
+  std::int64_t value = 0;
+  std::size_t pos = 0;
+  EXPECT_TRUE(ParseDecimalI64("-9223372036854775808", &pos, &value));
+  EXPECT_EQ(value, INT64_MIN);
+  pos = 0;
+  EXPECT_TRUE(ParseDecimalI64("9223372036854775807", &pos, &value));
+  EXPECT_EQ(value, INT64_MAX);
+  pos = 0;
+  EXPECT_TRUE(ParseDecimalI64("-0", &pos, &value));
+  EXPECT_EQ(value, 0);
+  for (const char* text : {"9223372036854775808", "-9223372036854775809",
+                           "-18446744073709551615", "-", "--1"}) {
+    pos = 0;
+    EXPECT_FALSE(ParseDecimalI64(text, &pos, &value)) << text;
+    EXPECT_EQ(pos, 0u) << text;
+  }
+}
+
+// ------------------------------------------------------------- FastDiv ----
+
+// The multiply-shift is only exact below kMaxFastDividend; one below a
+// multiple of the divisor is where it would first round up, so the dividends
+// straddle every multiple out to ~2^26 (the 52 us slot first goes wrong at
+// 657 slots without the fallback), plus a divisor with no fast path at all.
+TEST(FastDiv, MatchesHardwareDivideOnBothSidesOfTheFastWindow) {
+  for (const std::int64_t d :
+       {std::int64_t{1}, std::int64_t{3}, Micros(9), Micros(20), Micros(52),
+        FastDiv::kMaxFastDivisor, FastDiv::kMaxFastDivisor + 1}) {
+    const FastDiv div(d);
+    EXPECT_EQ(div.divisor(), d);
+    const std::int64_t max_k = (std::int64_t{1} << 26) / d + 2;
+    const std::int64_t step = std::max<std::int64_t>(1, max_k / 4096);
+    for (std::int64_t k = 0; k <= max_k; k += step) {
+      for (const std::int64_t r : {-2, -1, 0, 1}) {
+        const std::int64_t n = k * d + r;
+        if (n < 0) continue;
+        ASSERT_EQ(div.Divide(n), n / d) << "d " << d << " n " << n;
+      }
+    }
+    for (const std::int64_t n :
+         {FastDiv::kMaxFastDividend - 1, FastDiv::kMaxFastDividend,
+          std::int64_t{1'000'000'000'000'000}, INT64_MAX}) {
+      EXPECT_EQ(div.Divide(n), n / d) << "d " << d << " n " << n;
+    }
+  }
 }
 
 // ----------------------------------------------------------------- Rng ----
