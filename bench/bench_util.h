@@ -69,7 +69,7 @@ inline std::FILE* OpenCsv(const char* kind) {
 
 // ------------------------------------------------ fleet execution flags ----
 
-/// True when `flag` (e.g. "--compare-serial") appears in argv.
+/// True when `flag` (e.g. "--resume") appears in argv.
 inline bool HasFlag(int argc, char** argv, const char* flag) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], flag) == 0) return true;
@@ -176,14 +176,11 @@ inline unsigned long PeakRssKb() {
 
 /// Emits the machine-readable timing record of a fleet-backed bench — one
 /// JSON object per line so the perf trajectory can be scraped with grep.
-/// When a serial (jobs=1) reference time is supplied, the achieved speedup
-/// is included and echoed human-readably. When the total dispatched-event
-/// count is supplied, simulator events/sec rides along (the scheduler
-/// throughput achieved inside a full scenario, complementing
-/// micro_eventloop's synthetic number).
+/// When the total dispatched-event count is supplied, simulator events/sec
+/// rides along (the scheduler throughput achieved inside a full scenario,
+/// complementing micro_eventloop's synthetic number).
 inline void PrintFleetTiming(const char* bench, int jobs, double wall_ms,
-                             long calls, double serial_wall_ms = 0.0,
-                             std::uint64_t events = 0) {
+                             long calls, std::uint64_t events = 0) {
   std::printf("{\"bench\":\"%s\",\"jobs\":%d,\"wall_ms\":%.1f,\"calls\":%ld",
               bench, jobs, wall_ms, calls);
   if (events > 0 && wall_ms > 0.0) {
@@ -191,14 +188,7 @@ inline void PrintFleetTiming(const char* bench, int jobs, double wall_ms,
                 static_cast<unsigned long long>(events),
                 static_cast<double>(events) / (wall_ms / 1000.0));
   }
-  if (serial_wall_ms > 0.0 && wall_ms > 0.0) {
-    std::printf(",\"speedup_vs_serial\":%.2f", serial_wall_ms / wall_ms);
-  }
   std::printf(",\"peak_rss_kb\":%lu}\n", PeakRssKb());
-  if (serial_wall_ms > 0.0 && wall_ms > 0.0) {
-    std::printf("fleet: jobs=%d ran %.1f ms vs %.1f ms serial (%.2fx)\n",
-                jobs, wall_ms, serial_wall_ms, serial_wall_ms / wall_ms);
-  }
 }
 
 inline void Header(const char* experiment, const char* description) {

@@ -5,25 +5,29 @@
 // production study covered 119,789 calls — we scale the population down and
 // keep the statistic definitions identical).
 //
-// Two execution modes:
+// One report, two result sources:
 //
-//  * Legacy in-RAM mode (default): RunWildPopulation holds every call's
-//    result in a vector. Fine up to a few thousand calls.
-//  * Spill mode (--spill-dir DIR): the fleet::ShardRunner streams per-call
-//    results to JSONL spill files from forked worker processes
-//    (--processes P), optionally as one shard of a cluster-wide sweep
-//    (--shard k/n), checkpointing every --checkpoint-every calls so a
-//    killed run continues with --resume. Peak RSS is then independent of
-//    --calls: percentiles come from mergeable stats::Histogram sketches
-//    (exact bin-count merge), not from in-RAM sample vectors, so a
-//    million-call sweep runs in a bounded footprint and the merged
-//    artifacts are byte-identical for any worker x shard split.
+//  * By default the population runs in this process (scenario::RunWildRange
+//    over [0, --calls) on --jobs threads) and each call's result is folded
+//    into the report as the sink receives it.
+//  * With --spill-dir DIR the fleet::ShardRunner streams per-call results to
+//    JSONL spill files from forked worker processes (--processes P),
+//    optionally as one shard of a cluster-wide sweep (--shard k/n),
+//    checkpointing every --checkpoint-every calls so a killed run continues
+//    with --resume; the report is then fed from the merged spills, so peak
+//    RSS is independent of --calls.
+//
+// Either way the percentiles come from mergeable stats::Histogram sketches
+// under stats::Percentile's rank convention, and the percentiles record,
+// metrics and timeline are byte-identical across sources, worker counts and
+// worker x shard splits.
 #include <sys/stat.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,20 +42,12 @@ using namespace kwikr;
 
 namespace {
 
-/// Population timeline: per-call JSONL concatenated in index order, which
-/// makes the bytes independent of --jobs (each line carries "call":N).
-std::string ConcatTimelines(const scenario::WildResults& results) {
-  std::string out;
-  for (const auto& call : results.calls) out += call.timeline_jsonl;
-  return out;
-}
-
 bool EnsureDir(const std::string& path) {
   return ::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST;
 }
 
-/// Delay-distribution accumulator shared by both modes; in spill mode it is
-/// fed one decoded call at a time so nothing per-call stays resident.
+/// Delay-distribution accumulator, fed one call at a time so nothing
+/// per-call stays resident.
 struct DelayAccumulator {
   // [0, 1000] ms at ~0.5 ms resolution: queueing delays beyond a second
   // clamp into the top bin but keep their exact max.
@@ -61,6 +57,7 @@ struct DelayAccumulator {
   /// distribution (and counted, so short --call-seconds runs warn loudly
   /// instead of silently reporting percentiles of near-empty calls).
   static constexpr std::uint64_t kSampleFloor = 10;
+  static constexpr double kPercentiles[] = {50.0, 75.0, 90.0, 95.0, 99.0};
   stats::Histogram self_ms{kBinning};
   stats::Histogram cross_ms{kBinning};
   stats::Histogram total_ms{kBinning};
@@ -97,9 +94,11 @@ struct DelayAccumulator {
     std::printf("%-18s %8s %8s %8s %8s %8s\n", "", "50th", "75th", "90th",
                 "95th", "99th");
     auto row = [](const char* label, const stats::Histogram& h) {
-      std::printf("%-18s %8.1f %8.1f %8.1f %8.1f %8.1f\n", label,
-                  h.Percentile(50.0), h.Percentile(75.0), h.Percentile(90.0),
-                  h.Percentile(95.0), h.Percentile(99.0));
+      std::printf("%-18s", label);
+      for (double p : kPercentiles) {
+        std::printf(" %8.1f", h.OrderStatisticPercentile(p));
+      }
+      std::printf("\n");
     };
     row("Skype (self)", self_ms);
     row("Cross-traffic", cross_ms);
@@ -113,7 +112,7 @@ struct DelayAccumulator {
   /// exact integer or a %.17g double of a deterministic quantity.
   [[nodiscard]] std::string Json(int calls) const {
     char buffer[256];
-    std::string out = "{\"bench\":\"fig10_wild_delay\",\"mode\":\"spill\"";
+    std::string out = "{\"bench\":\"fig10_wild_delay\"";
     std::snprintf(buffer, sizeof(buffer), ",\"calls\":%d,\"n\":%lld", calls,
                   static_cast<long long>(total_ms.count()));
     out += buffer;
@@ -121,9 +120,11 @@ struct DelayAccumulator {
       std::snprintf(buffer, sizeof(buffer),
                     ",\"%s\":{\"p50\":%.17g,\"p75\":%.17g,\"p90\":%.17g,"
                     "\"p95\":%.17g,\"p99\":%.17g,\"max\":%.17g}",
-                    name, h.Percentile(50.0), h.Percentile(75.0),
-                    h.Percentile(90.0), h.Percentile(95.0),
-                    h.Percentile(99.0), h.max());
+                    name, h.OrderStatisticPercentile(50.0),
+                    h.OrderStatisticPercentile(75.0),
+                    h.OrderStatisticPercentile(90.0),
+                    h.OrderStatisticPercentile(95.0),
+                    h.OrderStatisticPercentile(99.0), h.max());
       out += buffer;
     };
     series("self_ms", self_ms);
@@ -138,45 +139,97 @@ struct DelayAccumulator {
     out += buffer;
     return out;
   }
+
+  /// Table, loud sub-floor warning and the percentiles record on stdout;
+  /// returns the record. Percentiles computed from calls with almost no
+  /// probe samples are statistical noise, so short --call-seconds runs must
+  /// not pass silently.
+  std::string Report(int calls, int call_seconds) const {
+    PrintTable();
+    if (below_floor > 0) {
+      std::fprintf(
+          stderr,
+          "WARNING: %llu of %llu calls produced fewer than %llu ping-pair "
+          "samples (the paper's Section 3.2 floor) and were EXCLUDED from "
+          "every percentile above — a per-call p95 over so few samples is "
+          "noise, not a delay estimate. Raise --call-seconds (currently %d) "
+          "until every call clears the floor.\n",
+          static_cast<unsigned long long>(below_floor),
+          static_cast<unsigned long long>(
+              below_floor + static_cast<std::uint64_t>(total_ms.count())),
+          static_cast<unsigned long long>(kSampleFloor), call_seconds);
+    }
+    std::string record = Json(calls);
+    std::fputs(record.c_str(), stdout);
+    return record;
+  }
 };
 
-/// Loud sub-floor warning shared by both modes: percentiles computed from
-/// calls with almost no probe samples are statistical noise, so short
-/// --call-seconds runs must not pass silently.
-void WarnBelowFloor(std::uint64_t below_floor, std::uint64_t total_calls,
-                    int call_seconds) {
-  if (below_floor == 0) return;
-  std::fprintf(
-      stderr,
-      "WARNING: %llu of %llu calls produced fewer than %llu ping-pair "
-      "samples (the paper's Section 3.2 floor) and were EXCLUDED from every "
-      "percentile above — a per-call p95 over so few samples is noise, not "
-      "a delay estimate. Raise --call-seconds (currently %d) until every "
-      "call clears the floor.\n",
-      static_cast<unsigned long long>(below_floor),
-      static_cast<unsigned long long>(total_calls),
-      static_cast<unsigned long long>(DelayAccumulator::kSampleFloor),
-      call_seconds);
+/// Everything the sweep reports, whichever source fills it.
+struct Sweep {
+  scenario::WildConfig wild;
+  int call_seconds = 60;
+  bool metrics_on = false;
+  const char* timeline_out = nullptr;
+
+  DelayAccumulator delays;
+  obs::MetricsRegistry registry;
+  /// Population timeline, written in call-index order (each line carries
+  /// "call":N), which makes the bytes independent of --jobs and the split.
+  std::vector<std::ofstream> timeline_files;
+
+  void WriteTimeline(std::string_view bytes) {
+    for (std::ofstream& file : timeline_files) {
+      file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+  }
+};
+
+/// Default source: the population in this process, folded into the report
+/// call by call.
+int RunInProcess(int argc, char** argv, Sweep& sweep) {
+  if (sweep.metrics_on) sweep.wild.metrics = &sweep.registry;
+  if (sweep.timeline_out != nullptr) {
+    sweep.timeline_files.emplace_back(sweep.timeline_out,
+                                      std::ios::binary | std::ios::trunc);
+  }
+  bench::WallTimer timer;
+  try {
+    scenario::RunWildRange(
+        sweep.wild, 0,
+        static_cast<std::uint64_t>(std::max(sweep.wild.calls, 0)),
+        [&](std::uint64_t, scenario::WildCallResult&& call) {
+          sweep.delays.Add(call);
+          sweep.WriteTimeline(call.timeline_jsonl);
+        });
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "fig10: %s\n", e.what());
+    return 1;
+  }
+  const double wall_ms = timer.ElapsedMs();
+
+  sweep.delays.Report(sweep.wild.calls, sweep.call_seconds);
+  bench::PrintFleetTiming("fig10_wild_delay", sweep.wild.jobs, wall_ms,
+                          sweep.wild.calls, sweep.delays.events);
+  bench::ExportMetrics(argc, argv, sweep.registry);
+  if (sweep.timeline_out != nullptr) {
+    std::ofstream& file = sweep.timeline_files.front();
+    const auto bytes = static_cast<long long>(file.tellp());
+    file.close();
+    if (file) {
+      std::printf("timeline: wrote %lld bytes to %s\n", bytes,
+                  sweep.timeline_out);
+    } else {
+      std::fprintf(stderr, "timeline: cannot write %s\n", sweep.timeline_out);
+    }
+  }
+  return 0;
 }
 
-/// --spill-dir mode: shard-runner execution + hierarchical merge.
-int RunSpillMode(int argc, char** argv, const char* spill_dir) {
-  scenario::WildConfig wild;
-  const int calls = bench::ParseIntFlag(argc, argv, "--calls", 150);
-  wild.base_seed = 1010;
-  const int call_seconds =
-      bench::ParseIntFlag(argc, argv, "--call-seconds", 60);
-  wild.call_duration = sim::Seconds(call_seconds);
-  wild.jobs = bench::ParseJobs(argc, argv);
-  const char* timeline_out =
-      bench::ParseStringFlag(argc, argv, "--timeline-out");
-  wild.timeline =
-      timeline_out != nullptr || bench::HasFlag(argc, argv, "--timeline");
-  wild.timeline_interval = sim::Millis(
-      bench::ParseIntFlag(argc, argv, "--timeline-interval-ms", 10));
-  const bool metrics_on = bench::MetricsRequested(argc, argv) ||
-                          bench::HasFlag(argc, argv, "--metrics");
-
+/// --spill-dir source: shard-runner execution + hierarchical merge.
+int RunSpilled(int argc, char** argv, Sweep& sweep, const char* spill_dir) {
+  const scenario::WildConfig& wild = sweep.wild;
+  const int calls = wild.calls;
   fleet::ShardRunnerConfig config;
   config.total_items = static_cast<std::uint64_t>(std::max(calls, 0));
   const char* shard_text =
@@ -204,10 +257,9 @@ int RunSpillMode(int argc, char** argv, const char* spill_dir) {
                   "fig10;calls=%d;seed=%llu;call_seconds=%d;shards=%d;"
                   "metrics=%d;timeline=%d;interval_ms=%d",
                   calls, static_cast<unsigned long long>(wild.base_seed),
-                  call_seconds, config.shard.count, metrics_on ? 1 : 0,
-                  wild.timeline ? 1 : 0,
-                  bench::ParseIntFlag(argc, argv, "--timeline-interval-ms",
-                                      10));
+                  sweep.call_seconds, config.shard.count,
+                  sweep.metrics_on ? 1 : 0, wild.timeline ? 1 : 0,
+                  static_cast<int>(wild.timeline_interval / sim::Millis(1)));
     config.fingerprint = fp;
   }
 
@@ -226,7 +278,7 @@ int RunSpillMode(int argc, char** argv, const char* spill_dir) {
           fleet::ChunkOutput out;
           scenario::WildConfig chunk_config = wild;
           obs::MetricsRegistry chunk_registry;
-          if (metrics_on) chunk_config.metrics = &chunk_registry;
+          if (sweep.metrics_on) chunk_config.metrics = &chunk_registry;
           scenario::RunWildRange(
               chunk_config, begin, end,
               [&](std::uint64_t index, scenario::WildCallResult&& result) {
@@ -234,7 +286,7 @@ int RunSpillMode(int argc, char** argv, const char* spill_dir) {
                     scenario::EncodeWildCallLine(index, result);
                 out.timeline_jsonl += result.timeline_jsonl;
               });
-          if (metrics_on) {
+          if (sweep.metrics_on) {
             out.metrics_jsonl = obs::SerializeRegistry(chunk_registry);
           }
           return out;
@@ -260,20 +312,16 @@ int RunSpillMode(int argc, char** argv, const char* spill_dir) {
     std::fprintf(stderr, "cannot create %s\n", merged_dir.c_str());
     return 1;
   }
-
-  DelayAccumulator accumulator;
-  obs::MetricsRegistry registry;
-  std::uint64_t decode_failures = 0;
-  std::ofstream merged_timeline;
-  std::ofstream extra_timeline;
   if (wild.timeline) {
-    merged_timeline.open(merged_dir + "/timeline.jsonl",
-                         std::ios::binary | std::ios::trunc);
-    if (timeline_out != nullptr) {
-      extra_timeline.open(timeline_out, std::ios::binary | std::ios::trunc);
+    sweep.timeline_files.emplace_back(merged_dir + "/timeline.jsonl",
+                                      std::ios::binary | std::ios::trunc);
+    if (sweep.timeline_out != nullptr) {
+      sweep.timeline_files.emplace_back(sweep.timeline_out,
+                                        std::ios::binary | std::ios::trunc);
     }
   }
 
+  std::uint64_t decode_failures = 0;
   fleet::MergeConsumer consumer;
   consumer.on_result_line = [&](std::uint64_t index, std::string_view line) {
     scenario::WildCallResult call;
@@ -283,17 +331,12 @@ int RunSpillMode(int argc, char** argv, const char* spill_dir) {
       ++decode_failures;
       return;
     }
-    accumulator.Add(call);
+    sweep.delays.Add(call);
   };
-  if (metrics_on) consumer.metrics = &registry;
+  if (sweep.metrics_on) consumer.metrics = &sweep.registry;
   if (wild.timeline) {
     consumer.on_timeline = [&](std::string_view bytes) {
-      merged_timeline.write(bytes.data(),
-                            static_cast<std::streamsize>(bytes.size()));
-      if (extra_timeline.is_open()) {
-        extra_timeline.write(bytes.data(),
-                             static_cast<std::streamsize>(bytes.size()));
-      }
+      sweep.WriteTimeline(bytes);
     };
   }
 
@@ -338,9 +381,8 @@ int RunSpillMode(int argc, char** argv, const char* spill_dir) {
     return 1;
   }
 
-  accumulator.PrintTable();
-  WarnBelowFloor(accumulator.below_floor, merge.items, call_seconds);
-  const std::string percentiles = accumulator.Json(calls);
+  const std::string percentiles =
+      sweep.delays.Report(calls, sweep.call_seconds);
   {
     std::ofstream out(merged_dir + "/percentiles.json",
                       std::ios::binary | std::ios::trunc);
@@ -349,12 +391,13 @@ int RunSpillMode(int argc, char** argv, const char* spill_dir) {
   std::printf("merged %llu calls -> %s/percentiles.json\n",
               static_cast<unsigned long long>(merge.items),
               merged_dir.c_str());
-  if (metrics_on) {
-    obs::WritePrometheus(registry, (merged_dir + "/metrics.prom").c_str());
-    bench::ExportMetrics(argc, argv, registry);
+  if (sweep.metrics_on) {
+    obs::WritePrometheus(sweep.registry,
+                         (merged_dir + "/metrics.prom").c_str());
+    bench::ExportMetrics(argc, argv, sweep.registry);
   }
   if (wild.timeline) {
-    merged_timeline.close();
+    sweep.timeline_files.clear();  // flush before announcing.
     std::printf("timeline: merged stream at %s/timeline.jsonl\n",
                 merged_dir.c_str());
   }
@@ -370,148 +413,41 @@ int main(int argc, char** argv) {
                 "cross-traffic.\nPaper: cross-traffic dominates; worst 5% of "
                 "calls see >= ~98 ms of cross-traffic delay.");
 
-  if (const char* spill_dir =
-          bench::ParseStringFlag(argc, argv, "--spill-dir")) {
-    return RunSpillMode(argc, argv, spill_dir);
-  }
-  if (bench::HasFlag(argc, argv, "--processes") ||
-      bench::HasFlag(argc, argv, "--shard") ||
-      bench::HasFlag(argc, argv, "--resume")) {
+  const char* spill_dir = bench::ParseStringFlag(argc, argv, "--spill-dir");
+  if (spill_dir == nullptr && (bench::HasFlag(argc, argv, "--processes") ||
+                               bench::HasFlag(argc, argv, "--shard") ||
+                               bench::HasFlag(argc, argv, "--resume") ||
+                               bench::HasFlag(argc, argv, "--merge-only"))) {
     std::fprintf(stderr,
-                 "--processes/--shard/--resume need --spill-dir DIR (the "
-                 "multi-process runner streams results through spill "
-                 "files)\n");
+                 "--processes/--shard/--resume/--merge-only need --spill-dir "
+                 "DIR (the multi-process runner streams results through "
+                 "spill files)\n");
     return 2;
   }
 
-  scenario::WildConfig config;
-  config.calls = bench::ParseIntFlag(argc, argv, "--calls", 150);
-  config.base_seed = 1010;
-  config.call_duration =
-      sim::Seconds(bench::ParseIntFlag(argc, argv, "--call-seconds", 60));
-  config.jobs = bench::ParseJobs(argc, argv);
-  // --shard-arms: BSS-group intra-scenario sharding — each environment's
-  // baseline/Kwikr arms become separate fleet tasks (bit-identical results;
-  // finer task granularity for the worker pool).
-  config.shard_arms = bench::HasFlag(argc, argv, "--shard-arms");
-
-  // --metrics-out: merged per-environment registry; every value in it is a
-  // simulated quantity, so the export is bit-identical for any --jobs.
-  obs::MetricsRegistry registry;
-  if (bench::MetricsRequested(argc, argv)) config.metrics = &registry;
-
-  // --timeline-out: sim-time series sampling on every Kwikr arm, written as
-  // one JSONL file for the whole population (bit-identical for any --jobs).
-  const char* timeline_out =
-      bench::ParseStringFlag(argc, argv, "--timeline-out");
-  config.timeline = timeline_out != nullptr;
-  config.timeline_interval = sim::Millis(
+  Sweep sweep;
+  sweep.wild.calls = bench::ParseIntFlag(argc, argv, "--calls", 150);
+  sweep.wild.base_seed = 1010;
+  sweep.call_seconds = bench::ParseIntFlag(argc, argv, "--call-seconds", 60);
+  sweep.wild.call_duration = sim::Seconds(sweep.call_seconds);
+  sweep.wild.jobs = bench::ParseJobs(argc, argv);
+  // --metrics-out (or --metrics): merged per-environment registry; every
+  // value in it is a simulated quantity, so the export is bit-identical for
+  // any --jobs or split.
+  sweep.metrics_on = bench::MetricsRequested(argc, argv) ||
+                     bench::HasFlag(argc, argv, "--metrics");
+  // --timeline-out (or --timeline): sim-time series sampling on every Kwikr
+  // arm, written as one JSONL stream for the whole population.
+  sweep.timeline_out = bench::ParseStringFlag(argc, argv, "--timeline-out");
+  sweep.wild.timeline = sweep.timeline_out != nullptr ||
+                        bench::HasFlag(argc, argv, "--timeline");
+  sweep.wild.timeline_interval = sim::Millis(
       bench::ParseIntFlag(argc, argv, "--timeline-interval-ms", 10));
 
-  bench::WallTimer timer;
-  const scenario::WildResults results = scenario::RunWildPopulation(config);
-  const double wall_ms = timer.ElapsedMs();
-
-  std::vector<double> self_ms;
-  std::vector<double> cross_ms;
-  std::vector<double> total_ms;
-  std::uint64_t below_floor = 0;
-  for (const auto& call : results.calls) {
-    if (call.probe_samples < DelayAccumulator::kSampleFloor) {
-      ++below_floor;
-      continue;
-    }
-    self_ms.push_back(call.p95_ta_ms);
-    cross_ms.push_back(call.p95_tc_ms);
-    total_ms.push_back(call.p95_tq_ms);
-  }
-
-  std::printf("distribution of per-call 95th%%ile queueing delay (ms), "
-              "n=%zu calls:\n\n", total_ms.size());
-  std::printf("%-18s %8s %8s %8s %8s %8s\n", "", "50th", "75th", "90th",
-              "95th", "99th");
-  auto row = [](const char* label, const std::vector<double>& v) {
-    std::printf("%-18s %8.1f %8.1f %8.1f %8.1f %8.1f\n", label,
-                stats::Percentile(v, 50.0), stats::Percentile(v, 75.0),
-                stats::Percentile(v, 90.0), stats::Percentile(v, 95.0),
-                stats::Percentile(v, 99.0));
-  };
-  row("Skype (self)", self_ms);
-  row("Cross-traffic", cross_ms);
-  row("Total", total_ms);
-
-  std::printf("\ncross-traffic exceeds self-delay in %.0f%% of calls with "
-              "measurable delay\n",
-              [&] {
-                int dominated = 0;
-                int measurable = 0;
-                for (std::size_t i = 0; i < cross_ms.size(); ++i) {
-                  if (total_ms[i] > 1.0) {
-                    ++measurable;
-                    if (cross_ms[i] > self_ms[i]) ++dominated;
-                  }
-                }
-                return measurable > 0 ? 100.0 * dominated / measurable : 0.0;
-              }());
-  WarnBelowFloor(below_floor, results.calls.size(),
-                 bench::ParseIntFlag(argc, argv, "--call-seconds", 60));
-
-  std::printf("\n");
-  double serial_wall_ms = 0.0;
-  if (config.jobs != 1 && bench::HasFlag(argc, argv, "--compare-serial")) {
-    scenario::WildConfig serial = config;
-    serial.jobs = 1;
-    // The reference run must not merge into the same registry twice.
-    serial.metrics = nullptr;
-    serial.fleet_metrics = nullptr;
-    bench::WallTimer serial_timer;
-    const scenario::WildResults serial_results =
-        scenario::RunWildPopulation(serial);
-    serial_wall_ms = serial_timer.ElapsedMs();
-    bench::PrintFleetTiming("fig10_wild_delay", 1, serial_wall_ms,
-                            config.calls);
-    std::printf("determinism: jobs=%d results %s jobs=1 results\n",
-                config.jobs,
-                std::equal(results.calls.begin(), results.calls.end(),
-                           serial_results.calls.begin(),
-                           serial_results.calls.end(),
-                           [](const auto& a, const auto& b) {
-                             return a.p95_tq_ms == b.p95_tq_ms &&
-                                    a.p95_ta_ms == b.p95_ta_ms &&
-                                    a.p95_tc_ms == b.p95_tc_ms &&
-                                    a.probe_samples == b.probe_samples &&
-                                    a.baseline_rate_kbps ==
-                                        b.baseline_rate_kbps &&
-                                    a.kwikr_rate_kbps == b.kwikr_rate_kbps;
-                           })
-                    ? "byte-identical to"
-                    : "DIVERGE from");
-    if (config.timeline) {
-      std::printf("timeline determinism: jobs=%d timeline %s jobs=1 "
-                  "timeline\n",
-                  config.jobs,
-                  ConcatTimelines(results) == ConcatTimelines(serial_results)
-                      ? "byte-identical to"
-                      : "DIVERGES from");
-    }
-  }
-  std::uint64_t events_executed = 0;
-  for (const auto& call : results.calls) events_executed += call.events_executed;
-  bench::PrintFleetTiming("fig10_wild_delay", config.jobs, wall_ms,
-                          config.calls, serial_wall_ms, events_executed);
-  bench::ExportMetrics(argc, argv, registry);
-
-  if (timeline_out != nullptr) {
-    const std::string timeline = ConcatTimelines(results);
-    std::ofstream out(timeline_out, std::ios::binary | std::ios::trunc);
-    if (out) {
-      out << timeline;
-      std::printf("timeline: wrote %zu bytes to %s\n", timeline.size(),
-                  timeline_out);
-    } else {
-      std::fprintf(stderr, "timeline: cannot write %s\n", timeline_out);
-    }
-  }
+  const int status = spill_dir != nullptr
+                         ? RunSpilled(argc, argv, sweep, spill_dir)
+                         : RunInProcess(argc, argv, sweep);
+  if (status != 0) return status;
 
   // KWIKR_TRACE_DIR: Chrome-trace one example call (the Kwikr arm of the
   // first environment's configuration) rather than the whole population.
@@ -520,7 +456,7 @@ int main(int argc, char** argv) {
     obs::Tracer tracer;
     tracer.SetSink(&writer);
     scenario::ExperimentConfig example;
-    example.seed = config.base_seed;
+    example.seed = sweep.wild.base_seed;
     example.duration = sim::Seconds(30);
     example.sample_queue = true;
     example.calls[0].kwikr = true;

@@ -175,26 +175,7 @@ int main(int argc, char** argv) {
   }
   const double wall_ms = timer.ElapsedMs();
 
-  double serial_wall_ms = 0.0;
-  if (jobs != 1 && bench::HasFlag(argc, argv, "--compare-serial")) {
-    bench::WallTimer serial_timer;
-    const auto ref_legacy =
-        fleet::RunFleet(3 * kRuns, 1, [](std::size_t index) -> PairResult {
-          const auto kind = static_cast<int>(index / kRuns);
-          const auto seed =
-              static_cast<std::uint64_t>(1300 + 100 * kind + index % kRuns);
-          const auto [a, b] =
-              RunPair(/*kwikr_a=*/kind == 2, /*kwikr_b=*/kind >= 1, seed);
-          return PairResult{a, b};
-        });
-    (void)ref_legacy;
-    fleet::RunFleet(kCells, 1, RunGridCell);
-    serial_wall_ms = serial_timer.ElapsedMs();
-    bench::PrintFleetTiming("table2_coexistence", 1, serial_wall_ms,
-                            3 * kRuns + static_cast<long>(kCells));
-  }
   bench::PrintFleetTiming("table2_coexistence", jobs, wall_ms,
-                          3 * kRuns + static_cast<long>(kCells),
-                          serial_wall_ms);
+                          3 * kRuns + static_cast<long>(kCells));
   return 0;
 }

@@ -50,21 +50,8 @@ int main(int argc, char** argv) {
   std::printf("\nsafety: median-RTT mean %.1f -> %.1f ms; loss %.2f%% -> "
               "%.2f%%\n\n", rtt_base, rtt_kwikr, loss_base, loss_kwikr);
 
-  double serial_wall_ms = 0.0;
-  if (config.jobs != 1 && bench::HasFlag(argc, argv, "--compare-serial")) {
-    scenario::WildConfig serial = config;
-    serial.jobs = 1;
-    // The reference run must not merge into the same registry twice.
-    serial.metrics = nullptr;
-    serial.fleet_metrics = nullptr;
-    bench::WallTimer serial_timer;
-    scenario::RunWildPopulation(serial);
-    serial_wall_ms = serial_timer.ElapsedMs();
-    bench::PrintFleetTiming("table3_ab_gains", 1, serial_wall_ms,
-                            config.calls);
-  }
   bench::PrintFleetTiming("table3_ab_gains", config.jobs, wall_ms,
-                          config.calls, serial_wall_ms);
+                          config.calls);
   bench::ExportMetrics(argc, argv, registry);
   return 0;
 }

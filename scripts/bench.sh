@@ -84,9 +84,10 @@ if [[ "$run_fig10" == 1 ]]; then
   fi
   echo "fig10 metrics byte-identical between --jobs 1 and --jobs 8"
 
-  # The jobs=8 record (its timing line is the last JSON object the bench
-  # prints) becomes the committed trajectory baseline.
-  grep '^{"bench":"fig10_wild_delay"' "$tmp/fig10_j8.out" | tail -1 \
+  # The jobs=8 timing record becomes the committed trajectory baseline (the
+  # percentiles record the bench also prints starts with "calls", not
+  # "jobs").
+  grep '^{"bench":"fig10_wild_delay","jobs"' "$tmp/fig10_j8.out" | tail -1 \
     > BENCH_fig10.json
 
   echo "== fig10 + 10 ms timeline sampling (sampler overhead record) =="
@@ -104,13 +105,13 @@ if [[ "$run_fig10" == 1 ]]; then
 
   # Second trajectory record: same sweep with the sampler attached. The
   # events/sec delta against the first record is the sampling overhead.
-  grep '^{"bench":"fig10_wild_delay"' "$tmp/fig10_tl_j8.out" | tail -1 \
+  grep '^{"bench":"fig10_wild_delay","jobs"' "$tmp/fig10_tl_j8.out" | tail -1 \
     | sed 's/"bench":"fig10_wild_delay"/"bench":"fig10_wild_delay_timeline"/' \
     >> BENCH_fig10.json
 
   echo "== gate: timeline sampling must not blow up peak RSS =="
   # Relative gate (machine-independent): the timeline run holds every call's
-  # serialized series until the final concatenation, and an unbounded
+  # serialized series until the index-ordered hand-off, and an unbounded
   # sampler once pushed it to 4x the sampling-off footprint. The per-call
   # point budget keeps it under 2.5x; regressions past that fail the run.
   rss_plain=$(grep -o '"peak_rss_kb":[0-9]*' BENCH_fig10.json \

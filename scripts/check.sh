@@ -2,9 +2,10 @@
 # Repo verification gate (the merge bar — CI runs exactly this):
 #   1. tier-1: configure + build + full ctest in ./build
 #   2. fleet: `ctest -L fleet_shard` (spill/checkpoint/resume property
-#      tests) plus a spill-mode smoke of the fig10 sweep — the same calls
-#      under --processes 1 and --processes 2 must merge to byte-identical
-#      percentiles, metrics, and timeline artifacts.
+#      tests) plus a smoke of the fig10 sweep — the same calls under
+#      --processes 1 and --processes 2 must merge to byte-identical
+#      percentiles, metrics, and timeline artifacts, and the in-process run
+#      without --spill-dir must print and write the same bytes.
 #   3. tsan: rebuild the concurrency-sensitive suites under ThreadSanitizer
 #      (-DKWIKR_SANITIZE=thread) and run `ctest -L obs` + `ctest -L faults`
 #      + `ctest -L frame_path` + `ctest -L cc_aqm` + `ctest -L timeline`
@@ -91,21 +92,36 @@ step_tier1() {
 step_fleet() {
   cmake --build build -j "$jobs" --target fleet_shard_test fig10_wild_delay
   ctest --test-dir build -L fleet_shard --output-on-failure -j "$jobs"
-  # Spill-mode smoke: one worker process vs two must merge byte-identically.
+  # Spill-mode smoke: one worker process vs two must merge byte-identically,
+  # and the in-process run of the same sweep (no --spill-dir) must report
+  # the same percentiles record, metrics and timeline bytes. The calls are
+  # long enough that every one clears fig10's 10-sample floor, so the
+  # percentile compare covers real distributions, not empty histograms.
   local fig10=./build/bench/fig10_wild_delay
-  ensure_spill_dir build/fleet-smoke/p1
-  ensure_spill_dir build/fleet-smoke/p2
-  "$fig10" --calls 12 --call-seconds 2 --spill-dir build/fleet-smoke/p1 \
-    --processes 1 --checkpoint-every 4 --metrics --timeline > /dev/null
-  "$fig10" --calls 12 --call-seconds 2 --spill-dir build/fleet-smoke/p2 \
-    --processes 2 --checkpoint-every 4 --metrics --timeline > /dev/null
+  local smoke=build/fleet-smoke
+  local sweep=(--calls 12 --call-seconds 8)
+  local spill=(--checkpoint-every 4 --metrics --timeline)
+  ensure_spill_dir "$smoke/p1"
+  ensure_spill_dir "$smoke/p2"
+  ensure_spill_dir "$smoke/in-process"
+  "$fig10" "${sweep[@]}" "${spill[@]}" --spill-dir "$smoke/p1" \
+    --processes 1 > /dev/null
+  "$fig10" "${sweep[@]}" "${spill[@]}" --spill-dir "$smoke/p2" \
+    --processes 2 > /dev/null
+  "$fig10" "${sweep[@]}" --jobs 2 \
+    --metrics-out "$smoke/in-process/metrics.prom" \
+    --timeline-out "$smoke/in-process/timeline.jsonl" \
+    > "$smoke/in-process/stdout"
+  grep '^{"bench":"fig10_wild_delay","calls"' "$smoke/in-process/stdout" \
+    > "$smoke/in-process/percentiles.json"
+  grep -q '"calls_below_floor":0}' "$smoke/in-process/percentiles.json"
   local artifact
   for artifact in percentiles.json metrics.prom timeline.jsonl; do
-    cmp "build/fleet-smoke/p1/merged/$artifact" \
-        "build/fleet-smoke/p2/merged/$artifact"
+    cmp "$smoke/p1/merged/$artifact" "$smoke/p2/merged/$artifact"
+    cmp "$smoke/p1/merged/$artifact" "$smoke/in-process/$artifact"
   done
   echo "fleet spill smoke: merged artifacts byte-identical across" \
-       "--processes 1 and --processes 2"
+       "--processes 1, --processes 2 and the in-process run"
 }
 
 step_tsan() {
@@ -136,7 +152,7 @@ step_bench() {
 }
 
 run_step "tier-1: build + full test suite" step_tier1
-run_step "fleet: shard-runner suite + spill split-identity smoke" step_fleet
+run_step "fleet: shard-runner suite + fig10 source-agreement smoke" step_fleet
 
 if [[ "$run_tsan" == 1 ]]; then
   run_step "tsan: obs + faults suites under ThreadSanitizer" step_tsan

@@ -21,8 +21,7 @@ namespace kwikr::fleet {
 /// from the last completed chunk. Merging is hierarchical — item chunk →
 /// worker spill → shard → global — and every payload's merge rule is
 /// order-free (results concatenate in index order, metrics registries merge
-/// associatively/commutatively, timeline lines concatenate in index order,
-/// extending fleet::MergeShardStreams' (t, shard) ordering rule to files),
+/// associatively/commutatively, timeline lines concatenate in index order),
 /// so the merged artifacts are byte-identical for any worker x shard split.
 
 /// `--shard k/n`: this invocation owns global shard `index` of `count`.

@@ -1,14 +1,13 @@
 #include "scenario/wild_population.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "fleet/scenario_shards.h"
+#include "fleet/fleet_runner.h"
 #include "sim/decimal.h"
 #include "sim/rng.h"
 #include "stats/percentile.h"
@@ -17,6 +16,17 @@
 
 namespace kwikr::scenario {
 namespace {
+
+/// Probability an AP supports WMM (the paper's measured prevalence: 77%).
+constexpr double kWmmProbability = 0.77;
+/// Per-call timeline point budget (rows before the sampler decimates). A
+/// population run holds every call's serialized timeline in memory until
+/// the index-ordered hand-off to the sink, so the budget is deliberately
+/// smaller than a single-scenario run's default — 150 calls at the
+/// single-scenario 2048 kept ~24 MB of JSONL resident and quadrupled the
+/// bench's peak RSS. Decimation is deterministic in tick counts, so this
+/// only trades resolution, never the any-`jobs` byte-identity.
+constexpr std::size_t kTimelineSeriesCapacity = 512;
 
 /// Draws one random Wi-Fi environment. The marginals are chosen so that most
 /// calls see little or no cross traffic while a tail sees heavy congestion —
@@ -27,7 +37,7 @@ ExperimentConfig DrawEnvironment(sim::Rng& rng, const WildConfig& wild,
   config.seed = seed;
   config.duration = wild.call_duration;
   config.band = rng.Bernoulli(0.5) ? wifi::Band::k2_4GHz : wifi::Band::k5GHz;
-  config.wmm_enabled = rng.Bernoulli(wild.wmm_probability);
+  config.wmm_enabled = rng.Bernoulli(kWmmProbability);
 
   const auto rates = wifi::McsRates(config.band);
   const auto mcs = static_cast<std::size_t>(
@@ -62,20 +72,6 @@ double SamplePercentileMs(const std::vector<core::PingPairSample>& samples,
   return stats::Percentile(ms, p);
 }
 
-/// Replays environment `index`'s draw: every arm task forks the population
-/// RNG at the same index and consumes the same draws, so the baseline and
-/// Kwikr shards of one environment reconstruct an identical experiment
-/// without sharing any state.
-ExperimentConfig DrawPairedExperiment(const WildConfig& config,
-                                      std::size_t index, sim::Rng call_rng) {
-  const std::uint64_t call_seed = call_rng.Next();
-  ExperimentConfig experiment = DrawEnvironment(call_rng, config, call_seed);
-  if (!config.fault_matrix.empty()) {
-    experiment.faults = config.fault_matrix[index % config.fault_matrix.size()];
-  }
-  return experiment;
-}
-
 /// One arm of the paired A/B — an independent co-channel BSS-group replica.
 /// The environment (seed, topology, congestion schedule) is common random
 /// numbers; only the adaptation arm differs.
@@ -89,19 +85,29 @@ ExperimentMetrics RunArm(ExperimentConfig experiment, const WildConfig& config,
     // production); the baseline arm's event schedule stays untouched.
     experiment.timeline.enabled = true;
     experiment.timeline.interval = config.timeline_interval;
-    experiment.timeline.series_capacity = config.timeline_series_capacity;
+    experiment.timeline.series_capacity = kTimelineSeriesCapacity;
     experiment.timeline.call_index = static_cast<std::int64_t>(index);
   }
   return RunCallExperiment(experiment);
 }
 
-/// Join point of the two arm shards: pure pairwise combination of the arm
-/// metrics, so it yields the same bytes whether the arms ran back-to-back
-/// in one task or as separate shards on different workers. Event streams
-/// merge through the deterministic (t, shard) rule.
-WildCallResult MergeArms(const ExperimentConfig& experiment,
-                         const ExperimentMetrics& baseline,
-                         const ExperimentMetrics& kwikr) {
+/// One environment end to end: both arms back-to-back in one task. All
+/// randomness flows from `call_rng` — a per-index fork of the population
+/// RNG — so environments are independent tasks the fleet runner can
+/// execute on any worker in any order.
+WildCallResult RunOneEnvironment(const WildConfig& config, std::size_t index,
+                                 sim::Rng call_rng,
+                                 obs::MetricsRegistry* metrics) {
+  const std::uint64_t call_seed = call_rng.Next();
+  ExperimentConfig experiment = DrawEnvironment(call_rng, config, call_seed);
+  if (!config.fault_matrix.empty()) {
+    experiment.faults = config.fault_matrix[index % config.fault_matrix.size()];
+  }
+  const ExperimentMetrics baseline =
+      RunArm(experiment, config, index, /*kwikr=*/false, metrics);
+  ExperimentMetrics kwikr =
+      RunArm(experiment, config, index, /*kwikr=*/true, metrics);
+
   WildCallResult r;
   const CallMetrics& b = baseline.calls[0];
   const CallMetrics& k = kwikr.calls[0];
@@ -121,122 +127,12 @@ WildCallResult MergeArms(const ExperimentConfig& experiment,
   r.wmm_enabled = experiment.wmm_enabled;
   r.cross_stations = experiment.cross_stations;
   r.events_executed = baseline.events_executed + kwikr.events_executed;
-  r.timeline_jsonl =
-      fleet::MergeShardStreams({baseline.timeline_jsonl, kwikr.timeline_jsonl});
+  // Only the Kwikr arm samples a timeline.
+  r.timeline_jsonl = std::move(kwikr.timeline_jsonl);
   return r;
 }
 
-/// One environment end to end (both arms in one task). All randomness flows
-/// from `call_rng` — a per-index fork of the population RNG — so
-/// environments are independent tasks the fleet runner can execute on any
-/// worker in any order.
-WildCallResult RunOneEnvironment(const WildConfig& config, std::size_t index,
-                                 sim::Rng call_rng,
-                                 obs::MetricsRegistry* metrics) {
-  const ExperimentConfig experiment =
-      DrawPairedExperiment(config, index, std::move(call_rng));
-  const ExperimentMetrics baseline =
-      RunArm(experiment, config, index, /*kwikr=*/false, metrics);
-  const ExperimentMetrics kwikr =
-      RunArm(experiment, config, index, /*kwikr=*/true, metrics);
-  return MergeArms(experiment, baseline, kwikr);
-}
-
 }  // namespace
-
-namespace {
-
-/// Runs `fn(local_registry)` with the merge-once-per-task observability
-/// pattern: a worker-local registry merged into the stage when the task
-/// completes, plus the wall-clock "task_wall_ms" summary.
-template <typename Fn>
-auto RunObservedTask(bool observed, fleet::FleetMetrics* stage, Fn&& fn) {
-  if (!observed) return fn(static_cast<obs::MetricsRegistry*>(nullptr));
-  const auto wall_begin = std::chrono::steady_clock::now();
-  obs::MetricsRegistry local;
-  auto result = fn(&local);
-  stage->MergeRegistry(local);
-  stats::RunningSummary wall;
-  wall.Add(std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - wall_begin)
-               .count());
-  stage->MergeSummary("task_wall_ms", wall);
-  return result;
-}
-
-}  // namespace
-
-WildResults RunWildPopulation(const WildConfig& config) {
-  const sim::Rng base_rng(config.base_seed);
-  const bool observed =
-      config.metrics != nullptr || config.fleet_metrics != nullptr;
-  // Stage registry for the merge-once-per-task pattern; the caller's
-  // FleetMetrics doubles as the stage when provided.
-  fleet::FleetMetrics local_stage;
-  fleet::FleetMetrics* stage =
-      config.fleet_metrics != nullptr ? config.fleet_metrics : &local_stage;
-  const auto calls = static_cast<std::size_t>(std::max(config.calls, 0));
-
-  WildResults results;
-  if (!config.shard_arms) {
-    auto report =
-        fleet::RunFleet(calls, config.jobs, [&](std::size_t index) {
-          return RunObservedTask(observed, stage,
-                                 [&](obs::MetricsRegistry* local) {
-                                   return RunOneEnvironment(
-                                       config, index, base_rng.Fork(index),
-                                       local);
-                                 });
-        });
-    results.calls = std::move(report.results);
-    results.failures = std::move(report.failures);
-  } else {
-    // BSS-group sharded path: shard 2i is environment i's baseline arm,
-    // shard 2i+1 its Kwikr arm. Each shard replays the identical
-    // environment draw from base_seed + index (common random numbers), so
-    // the pair-merge below reproduces the unsharded bytes exactly.
-    struct ArmOutcome {
-      ExperimentConfig experiment;
-      ExperimentMetrics metrics;
-    };
-    auto report = fleet::RunScenarioShards(
-        2 * calls, config.jobs, [&](std::size_t shard) {
-          const std::size_t index = shard >> 1;
-          const bool kwikr = (shard & 1) != 0;
-          return RunObservedTask(
-              observed, stage, [&](obs::MetricsRegistry* local) {
-                ArmOutcome out;
-                out.experiment =
-                    DrawPairedExperiment(config, index, base_rng.Fork(index));
-                out.metrics =
-                    RunArm(out.experiment, config, index, kwikr, local);
-                return out;
-              });
-        });
-    results.calls.resize(calls);
-    for (std::size_t i = 0; i < calls; ++i) {
-      const ArmOutcome& baseline = report.results[2 * i];
-      const ArmOutcome& kwikr = report.results[2 * i + 1];
-      // A failed arm's slot is default-constructed (no calls entry); the
-      // environment's result then stays default too, matching the
-      // unsharded failure contract.
-      if (baseline.metrics.calls.empty() || kwikr.metrics.calls.empty()) {
-        continue;
-      }
-      results.calls[i] =
-          MergeArms(baseline.experiment, baseline.metrics, kwikr.metrics);
-    }
-    // Map arm-shard failures back onto environment indices (sorted order is
-    // preserved: shard index order is environment-major).
-    for (const fleet::TaskFailure& f : report.failures) {
-      results.failures.push_back(fleet::TaskFailure{
-          f.index >> 1,
-          ((f.index & 1) != 0 ? "kwikr arm: " : "baseline arm: ") + f.error});
-    }
-  }
-  if (config.metrics != nullptr) config.metrics->Merge(stage->registry());
-  return results;
-}
 
 void RunWildRange(
     const WildConfig& config, std::uint64_t begin, std::uint64_t end,
@@ -244,25 +140,23 @@ void RunWildRange(
         sink) {
   if (end <= begin) return;
   const sim::Rng base_rng(config.base_seed);
-  const bool observed =
-      config.metrics != nullptr || config.fleet_metrics != nullptr;
-  fleet::FleetMetrics local_stage;
-  fleet::FleetMetrics* stage =
-      config.fleet_metrics != nullptr ? config.fleet_metrics : &local_stage;
-
-  // The slice runs through the same fleet runner as the full population —
-  // only the index base differs, and every per-environment input (seed
-  // fork, fault-matrix row) keys on the *global* index.
+  // Each environment records into its own registry and merges it once into
+  // this stage, which reaches the caller's registry only if the whole range
+  // succeeds.
+  obs::MetricsRegistry stage;
   auto report = fleet::RunFleet(
       static_cast<std::size_t>(end - begin), config.jobs,
       [&](std::size_t local) {
         const auto index = static_cast<std::size_t>(begin + local);
-        return RunObservedTask(observed, stage,
-                               [&](obs::MetricsRegistry* local_registry) {
-                                 return RunOneEnvironment(
-                                     config, index, base_rng.Fork(index),
-                                     local_registry);
-                               });
+        if (config.metrics == nullptr) {
+          return RunOneEnvironment(config, index, base_rng.Fork(index),
+                                   nullptr);
+        }
+        obs::MetricsRegistry local_registry;
+        WildCallResult result = RunOneEnvironment(
+            config, index, base_rng.Fork(index), &local_registry);
+        stage.Merge(local_registry);
+        return result;
       });
   if (!report.ok()) {
     const fleet::TaskFailure& first = report.failures.front();
@@ -270,10 +164,21 @@ void RunWildRange(
         "wild call " + std::to_string(begin + first.index) + ": " +
         first.error);
   }
-  if (config.metrics != nullptr) config.metrics->Merge(stage->registry());
+  if (config.metrics != nullptr) config.metrics->Merge(stage);
   for (std::size_t local = 0; local < report.results.size(); ++local) {
     sink(begin + local, std::move(report.results[local]));
   }
+}
+
+WildResults RunWildPopulation(const WildConfig& config) {
+  WildResults results;
+  const auto calls = static_cast<std::uint64_t>(std::max(config.calls, 0));
+  results.calls.reserve(calls);
+  RunWildRange(config, 0, calls,
+               [&](std::uint64_t, WildCallResult&& result) {
+                 results.calls.push_back(std::move(result));
+               });
+  return results;
 }
 
 namespace {

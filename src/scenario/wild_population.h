@@ -6,8 +6,7 @@
 #include <string_view>
 #include <vector>
 
-#include "fleet/fleet_metrics.h"
-#include "fleet/fleet_runner.h"
+#include "obs/metrics.h"
 #include "scenario/call_experiment.h"
 
 namespace kwikr::scenario {
@@ -21,29 +20,11 @@ struct WildConfig {
   int calls = 200;              ///< population size (paper: 119,789).
   std::uint64_t base_seed = 42;
   sim::Duration call_duration = sim::Seconds(60);  ///< paper mean: 967 s.
-  /// Probability an AP supports WMM (paper's measured prevalence: 77%).
-  double wmm_probability = 0.77;
   /// Worker threads for the population sweep (fleet runner): 1 = serial on
   /// the calling thread, 0 = one per hardware thread. Every environment is
   /// seeded from `base_seed` and its own index, so results are bit-identical
   /// for any value of `jobs`.
   int jobs = 1;
-
-  /// Intra-scenario BSS-group sharding: run each environment's two arms
-  /// (baseline / Kwikr) — independent co-channel BSS-group replicas under
-  /// common random numbers that never exchange a frame — as separate fleet
-  /// tasks instead of back-to-back in one task. Doubles the task
-  /// granularity, so a small population (down to a single paired call)
-  /// still fills every worker and the per-environment straggler tail
-  /// halves. Results are bit-identical to the unsharded path for any
-  /// `jobs`: both arm tasks replay the same environment draw from
-  /// `base_seed` + index, each arm's simulation is deterministic in its
-  /// config alone, and the arms pair-merge by index at the join point
-  /// (fleet::MergeShardStreams orders any event streams by (t, shard)).
-  /// The only observable difference is FleetMetrics' "task_wall_ms"
-  /// summary counting 2N arm tasks instead of N environments — wall-clock
-  /// timing is nondeterministic and outside the determinism contract.
-  bool shard_arms = false;
 
   /// Fault matrix: environment `i` runs under `fault_matrix[i % size]`
   /// (empty = no faults anywhere). This is how a population sweep shards a
@@ -60,24 +41,12 @@ struct WildConfig {
   /// which changes the Kwikr arm's event count (never its media results).
   bool timeline = false;
   sim::Duration timeline_interval = sim::Millis(10);
-  /// Per-call series point budget (rows before the sampler decimates). A
-  /// population run holds every call's serialized timeline in memory until
-  /// the final index-ordered concatenation, so the budget is deliberately
-  /// smaller than a single-scenario run's default — 150 calls at the
-  /// single-scenario 2048 kept ~24 MB of JSONL resident and quadrupled the
-  /// bench's peak RSS. Decimation is deterministic in tick counts, so this
-  /// only trades resolution, never the any-`jobs` byte-identity.
-  std::size_t timeline_series_capacity = 512;
 
-  /// Optional observability sinks. Each environment accumulates simulated
+  /// Optional observability sink. Each environment accumulates simulated
   /// counters/histograms into its own worker-local registry which is merged
   /// once when the task completes — since every merge rule is associative
-  /// and commutative, the aggregate in `metrics` is bit-identical for any
-  /// `jobs`. Wall-clock per-task timing is inherently nondeterministic and
-  /// therefore goes to `fleet_metrics` as the "task_wall_ms" summary, never
-  /// into the registry.
+  /// and commutative, the aggregate is bit-identical for any `jobs`.
   obs::MetricsRegistry* metrics = nullptr;
-  fleet::FleetMetrics* fleet_metrics = nullptr;
 };
 
 /// Outcome of one environment (paired calls).
@@ -108,29 +77,28 @@ struct WildCallResult {
 
 struct WildResults {
   std::vector<WildCallResult> calls;
-  /// Environments that threw instead of completing (their `calls` slots are
-  /// default-constructed). Deterministic like the results themselves.
-  std::vector<fleet::TaskFailure> failures;
 };
 
-/// Runs the population; deterministic in `config.base_seed` alone —
-/// `config.jobs` changes wall-clock time, never the results.
-WildResults RunWildPopulation(const WildConfig& config);
-
-/// Streaming variant for the shard runner: runs the contiguous population
-/// slice [begin, end) and hands each environment's result to `sink` in
-/// ascending global-index order, never holding more than the slice in RAM.
-/// Seeds fork from `config.base_seed` at the *global* index (and the fault
-/// matrix likewise keys on the global index), so any partition of [0,
-/// calls) into ranges reproduces RunWildPopulation's per-call results
-/// bit-identically. `config.calls` is ignored; `config.jobs` still
-/// parallelizes within the slice. Throws std::runtime_error if any
-/// environment in the slice fails — a spilled range must be all-or-nothing
-/// so checkpoints never record a hole.
+/// Runs the contiguous population slice [begin, end) and hands each
+/// environment's result to `sink` in ascending global-index order, never
+/// holding more than the slice in RAM. Seeds fork from `config.base_seed`
+/// at the *global* index (and the fault matrix likewise keys on the global
+/// index), so any partition of [0, calls) into ranges reproduces the whole
+/// population's per-call results bit-identically. `config.calls` is
+/// ignored; `config.jobs` parallelizes within the slice, never changing the
+/// results. Throws std::runtime_error naming the first failed call index if
+/// any environment in the slice fails, before calling `sink` or touching
+/// `config.metrics` — a range is all-or-nothing, so a spilled checkpoint
+/// never records a hole and no failed environment enters the statistics.
 void RunWildRange(
     const WildConfig& config, std::uint64_t begin, std::uint64_t end,
     const std::function<void(std::uint64_t index, WildCallResult&& result)>&
         sink);
+
+/// The whole population [0, config.calls) in RAM: RunWildRange with a sink
+/// that collects the results in index order. Same determinism and
+/// all-or-nothing contract.
+WildResults RunWildPopulation(const WildConfig& config);
 
 /// Canonical spill-line codec for one environment's result:
 /// `{"call":<index>,...}\n` with %.17g doubles, so a decode → encode

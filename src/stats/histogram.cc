@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 namespace kwikr::stats {
 
@@ -91,6 +92,41 @@ double Histogram::Percentile(double p) const {
     }
   }
   return max_;
+}
+
+double Histogram::OrderStatistic(std::int64_t rank) const {
+  if (rank == 0) return min_;
+  if (rank == count_ - 1) return max_;
+  std::int64_t before = 0;
+  for (std::size_t bin = 0; bin < counts_.size(); ++bin) {
+    const std::int64_t in_bin = counts_[bin];
+    if (rank < before + in_bin) {
+      // Spread the bin's samples evenly, one per sub-interval midpoint, so
+      // the estimate never leaves the bin that holds the true value.
+      const double within = (static_cast<double>(rank - before) + 0.5) /
+                            static_cast<double>(in_bin);
+      const double value =
+          config_.lo + (static_cast<double>(bin) + within) * BinWidth();
+      return std::clamp(value, min_, max_);
+    }
+    before += in_bin;
+  }
+  return max_;
+}
+
+double Histogram::OrderStatisticPercentile(double p) const {
+  if (count_ == 0) return 0.0;
+  // The rank arithmetic is stats::Percentile's, so the two agree on which
+  // order statistics to blend and by how much.
+  const double clamped = std::clamp(p, 0.0, 100.0);
+  const double rank = clamped / 100.0 * static_cast<double>(count_ - 1);
+  const auto lo = static_cast<std::int64_t>(std::floor(rank));
+  const auto hi = static_cast<std::int64_t>(std::ceil(rank));
+  const double frac = rank - static_cast<double>(lo);
+  const double lo_val = OrderStatistic(lo);
+  if (hi == lo) return lo_val;
+  const double hi_val = OrderStatistic(hi);
+  return lo_val + frac * (hi_val - lo_val);
 }
 
 void Histogram::Reset() {

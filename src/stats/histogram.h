@@ -42,8 +42,19 @@ class Histogram {
                              std::int64_t count, double min, double max);
 
   /// p-th percentile estimate, p in [0, 100]. An empty histogram returns
-  /// 0.0, matching `stats::Percentile` on an empty input.
+  /// 0.0, matching `stats::Percentile` on an empty input. This targets the
+  /// cumulative count p·(n−1)+1 and interpolates inside that one bin, so on
+  /// sparse data it can sit far from `stats::Percentile`'s answer; use
+  /// OrderStatisticPercentile where the two must agree.
   [[nodiscard]] double Percentile(double p) const;
+
+  /// p-th percentile under `stats::Percentile`'s rank convention: the order
+  /// statistics at ⌊p·(n−1)⌋ and ⌈p·(n−1)⌉ are each estimated inside their
+  /// bin (the first and last exactly, as min and max) and interpolated by
+  /// the same fraction. For samples inside [lo, hi] the result is within
+  /// BinWidth() of `stats::Percentile` over the samples; p = 0 and 100
+  /// return the exact min and max. An empty histogram returns 0.0.
+  [[nodiscard]] double OrderStatisticPercentile(double p) const;
 
   [[nodiscard]] std::int64_t count() const { return count_; }
   [[nodiscard]] double min() const;
@@ -53,10 +64,13 @@ class Histogram {
     return counts_;
   }
 
+  [[nodiscard]] double BinWidth() const;
+
   void Reset();
 
  private:
-  [[nodiscard]] double BinWidth() const;
+  /// Estimate of the rank-th smallest sample (0-based, rank < count).
+  [[nodiscard]] double OrderStatistic(std::int64_t rank) const;
 
   Config config_;
   std::vector<std::int64_t> counts_;

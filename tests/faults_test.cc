@@ -317,7 +317,6 @@ TEST(FaultMatrixTest, WildPopulationShardsFaultsDeterministically) {
 
   ASSERT_EQ(serial.calls.size(), 6u);
   ASSERT_EQ(parallel.calls.size(), 6u);
-  EXPECT_TRUE(serial.failures.empty());
   for (std::size_t i = 0; i < serial.calls.size(); ++i) {
     EXPECT_EQ(serial.calls[i].events_executed,
               parallel.calls[i].events_executed)

@@ -7,9 +7,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fleet/checkpoint.h"
@@ -650,29 +650,52 @@ TEST(ShardRunner, DeadWorkerIsReportedWithItsCallRange) {
 // ------------------------------------------ wild-population contract -----
 
 TEST(WildRange, MatchesRunWildPopulationBitForBit) {
+  // RunWildPopulation is a sink over RunWildRange; splitting the population
+  // into ranges, as the shard runner does, must reproduce every byte it
+  // reports: the per-call lines, the index-ordered timeline and the merged
+  // registry. Two workers per range, so under ThreadSanitizer this is also
+  // the run that races environments' samplers and registry merges.
   scenario::WildConfig config;
   config.calls = 3;
   config.base_seed = 1010;
   config.call_duration = sim::Seconds(1);
+  config.jobs = 2;
+  config.timeline = true;
+  config.timeline_interval = sim::Millis(50);
+  obs::MetricsRegistry population_registry;
+  config.metrics = &population_registry;
   const scenario::WildResults population = scenario::RunWildPopulation(config);
   ASSERT_EQ(population.calls.size(), 3u);
-  ASSERT_TRUE(population.failures.empty());
-
-  // Run the same population as two ranges, as the shard runner would.
-  std::map<std::uint64_t, std::string> lines;
-  const auto sink = [&](std::uint64_t index,
-                        scenario::WildCallResult&& result) {
-    lines[index] = scenario::EncodeWildCallLine(index, result);
-  };
-  scenario::RunWildRange(config, 0, 2, sink);
-  scenario::RunWildRange(config, 2, 3, sink);
-
-  ASSERT_EQ(lines.size(), 3u);
+  std::string population_lines;
+  std::string population_timeline;
   for (std::uint64_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(lines[i],
-              scenario::EncodeWildCallLine(i, population.calls[i]))
-        << "call " << i;
+    population_lines += scenario::EncodeWildCallLine(i, population.calls[i]);
+    population_timeline += population.calls[i].timeline_jsonl;
+    EXPECT_FALSE(population.calls[i].timeline_jsonl.empty()) << "call " << i;
   }
+
+  // The same population as two ranges, each with its own registry.
+  std::string lines;
+  std::string timeline;
+  obs::MetricsRegistry merged_registry;
+  for (const auto& [begin, end] :
+       {std::pair<std::uint64_t, std::uint64_t>{0, 2}, {2, 3}}) {
+    obs::MetricsRegistry range_registry;
+    config.metrics = &range_registry;
+    scenario::RunWildRange(
+        config, begin, end,
+        [&](std::uint64_t index, scenario::WildCallResult&& result) {
+          lines += scenario::EncodeWildCallLine(index, result);
+          timeline += result.timeline_jsonl;
+        });
+    merged_registry.Merge(range_registry);
+  }
+
+  EXPECT_EQ(lines, population_lines);
+  EXPECT_EQ(timeline, population_timeline);
+  const std::string prometheus = obs::PrometheusText(population_registry);
+  EXPECT_NE(prometheus.find("probe_rounds_total"), std::string::npos);
+  EXPECT_EQ(obs::PrometheusText(merged_registry), prometheus);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
 // Frame-path primitives: kwikr::FunctionRef (the devirtualized hook type),
 // sim::FrameRing (the pooled frame queue), the event loop's same-tick
 // dispatch lane, the batched SoA arbitration core differentially tested
-// against a retained scalar reference, the cross-shard stream merge rule,
-// and fleet-sharded runs that must be worker-count invariant. Registered
-// under the `frame_path` CTest label; scripts/check.sh and CI also run this
-// suite under ThreadSanitizer, where the sharded tests exercise concurrent
-// EventLoop + Channel instances including BSS-group arm sharding.
+// against a retained scalar reference, and fleet-sharded runs that must be
+// worker-count invariant. Registered under the `frame_path` CTest label;
+// scripts/check.sh and CI also run this suite under ThreadSanitizer, where
+// the sharded tests exercise concurrent EventLoop + Channel instances.
 
 #include <gtest/gtest.h>
 
@@ -18,9 +17,7 @@
 #include <vector>
 
 #include "fleet/fleet_runner.h"
-#include "fleet/scenario_shards.h"
 #include "net/packet.h"
-#include "scenario/wild_population.h"
 #include "sim/event_loop.h"
 #include "sim/fastdiv.h"
 #include "sim/frame_ring.h"
@@ -830,50 +827,6 @@ TEST(BurstDelivery, StageOverflowFallsBackToScheduledDelivery) {
   EXPECT_EQ(normal.executed(), starved.executed());
 }
 
-// ---------------------------------------------------- MergeShardStreams ----
-
-TEST(MergeShardStreams, OrdersByTimeWithShardIndexTieBreak) {
-  const std::string a = "{\"t\":5,\"s\":\"a1\"}\n{\"t\":9,\"s\":\"a2\"}\n";
-  const std::string b = "{\"t\":5,\"s\":\"b1\"}\n{\"t\":7,\"s\":\"b2\"}\n";
-  EXPECT_EQ(fleet::MergeShardStreams({a, b}),
-            "{\"t\":5,\"s\":\"a1\"}\n{\"t\":5,\"s\":\"b1\"}\n"
-            "{\"t\":7,\"s\":\"b2\"}\n{\"t\":9,\"s\":\"a2\"}\n");
-}
-
-TEST(MergeShardStreams, UntimedLinesInheritThePrecedingStamp) {
-  // The summary annotation rides with its t:8 predecessor past shard 1's
-  // t:9 line; negative stamps parse and order correctly too.
-  const std::string a = "{\"t\":8}\n{\"summary\":1}\n";
-  const std::string b = "{\"t\":-3}\n{\"t\":9}\n";
-  EXPECT_EQ(fleet::MergeShardStreams({a, b}),
-            "{\"t\":-3}\n{\"t\":8}\n{\"summary\":1}\n{\"t\":9}\n");
-}
-
-TEST(MergeShardStreams, OverflowingStampIsTreatedAsUntimed) {
-  // A 20-digit stamp does not fit an int64: the line is untimed and rides
-  // with its t:5 predecessor instead of wrapping to some arbitrary time.
-  const std::string a = "{\"t\":5}\n{\"t\":99999999999999999999}\n";
-  const std::string b = "{\"t\":7}\n";
-  EXPECT_EQ(fleet::MergeShardStreams({a, b}),
-            "{\"t\":5}\n{\"t\":99999999999999999999}\n{\"t\":7}\n");
-  // The int64 extremes still parse as stamps.
-  const std::string c = "{\"t\":9223372036854775807}\n";
-  const std::string d = "{\"t\":-9223372036854775808}\n{\"t\":0}\n";
-  EXPECT_EQ(fleet::MergeShardStreams({c, d}),
-            "{\"t\":-9223372036854775808}\n{\"t\":0}\n"
-            "{\"t\":9223372036854775807}\n");
-}
-
-TEST(MergeShardStreams, SingleStreamAndUntimedInputsAreIdentity) {
-  // A single shard must pass through byte-for-byte — this is what makes the
-  // arm-merge safe on streams whose lines carry no "t" field at all.
-  const std::string only = "{\"a\":1}\n{\"t\":4}\nno trailing newline";
-  EXPECT_EQ(fleet::MergeShardStreams({only}), only);
-  // Fully untimed streams concatenate whole-stream in shard order.
-  EXPECT_EQ(fleet::MergeShardStreams({"x\ny\n", "p\nq\n"}), "x\ny\np\nq\n");
-  EXPECT_EQ(fleet::MergeShardStreams({}), "");
-}
-
 TEST(FramePathFleet, ShardedContentionDigestIsWorkerCountInvariant) {
   constexpr std::size_t kTasks = 8;
   auto digest_for = [](std::size_t index) {
@@ -888,46 +841,6 @@ TEST(FramePathFleet, ShardedContentionDigestIsWorkerCountInvariant) {
   EXPECT_EQ(serial.results, sharded.results);
   // Sanity: the workload actually simulated something.
   for (const auto digest : serial.results) EXPECT_GT(digest, 1'000'000u);
-}
-
-TEST(FramePathFleet, ArmShardedWildPopulationIsByteIdentical) {
-  // BSS-group intra-scenario sharding: a serial unsharded population versus
-  // the same population with each environment's baseline/Kwikr arms split
-  // into separate tasks across 4 workers. Everything observable — the
-  // paired statistics, the event counts, and the merged timeline bytes —
-  // must match exactly. Under ThreadSanitizer this is the run that races
-  // two arms of one environment on different threads.
-  scenario::WildConfig config;
-  config.calls = 5;
-  config.base_seed = 77;
-  config.call_duration = sim::Seconds(2);
-  config.timeline = true;
-  config.timeline_interval = sim::Millis(50);
-
-  config.jobs = 1;
-  config.shard_arms = false;
-  const scenario::WildResults serial = scenario::RunWildPopulation(config);
-
-  config.jobs = 4;
-  config.shard_arms = true;
-  const scenario::WildResults sharded = scenario::RunWildPopulation(config);
-
-  ASSERT_TRUE(serial.failures.empty());
-  ASSERT_TRUE(sharded.failures.empty());
-  ASSERT_EQ(serial.calls.size(), sharded.calls.size());
-  for (std::size_t i = 0; i < serial.calls.size(); ++i) {
-    const scenario::WildCallResult& a = serial.calls[i];
-    const scenario::WildCallResult& b = sharded.calls[i];
-    EXPECT_EQ(a.p95_tq_ms, b.p95_tq_ms) << "call " << i;
-    EXPECT_EQ(a.p95_ta_ms, b.p95_ta_ms) << "call " << i;
-    EXPECT_EQ(a.p95_tc_ms, b.p95_tc_ms) << "call " << i;
-    EXPECT_EQ(a.probe_samples, b.probe_samples) << "call " << i;
-    EXPECT_EQ(a.baseline_rate_kbps, b.baseline_rate_kbps) << "call " << i;
-    EXPECT_EQ(a.kwikr_rate_kbps, b.kwikr_rate_kbps) << "call " << i;
-    EXPECT_EQ(a.events_executed, b.events_executed) << "call " << i;
-    EXPECT_EQ(a.timeline_jsonl, b.timeline_jsonl) << "call " << i;
-    EXPECT_FALSE(a.timeline_jsonl.empty()) << "call " << i;
-  }
 }
 
 }  // namespace

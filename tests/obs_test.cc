@@ -12,6 +12,7 @@
 #include <set>
 #include <string>
 
+#include "fleet/fleet_metrics.h"
 #include "obs/exporters.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -468,14 +469,14 @@ TEST(EventLoopProbeTest, NoProbeMeansNoObservation) {
 // --------------------------------------------------------- fleet bridge ---
 
 TEST(FleetMetricsTest, MergeRegistryAccumulates) {
-  fleet::FleetMetrics fleet_metrics;
+  fleet::FleetMetrics fleet_stage;
   obs::MetricsRegistry worker_a;
   obs::MetricsRegistry worker_b;
   worker_a.GetCounter("done_total").Add(2);
   worker_b.GetCounter("done_total").Add(3);
-  fleet_metrics.MergeRegistry(worker_a);
-  fleet_metrics.MergeRegistry(worker_b);
-  EXPECT_EQ(fleet_metrics.registry().GetCounter("done_total").value(), 5u);
+  fleet_stage.MergeRegistry(worker_a);
+  fleet_stage.MergeRegistry(worker_b);
+  EXPECT_EQ(fleet_stage.registry().GetCounter("done_total").value(), 5u);
 }
 
 }  // namespace

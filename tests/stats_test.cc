@@ -82,6 +82,39 @@ TEST(Histogram, SingleBinValueIsRecovered) {
   EXPECT_NEAR(histogram.Percentile(50.0), 42.5, 1.0);  // bin width 1.
 }
 
+TEST(Histogram, OrderStatisticPercentileIsWithinOneBinOfPercentile) {
+  // fig10's binning. Sparse trials spread a handful of samples with wide
+  // gaps over the whole range, where the in-bin closest-rank estimate of
+  // Percentile() lands far from the interpolated order statistics; the
+  // dense trial piles 10^4 samples into the low bins.
+  constexpr Histogram::Config kBinning{0.0, 1000.0, 2048};
+  constexpr double kPs[] = {0.0, 1.0, 50.0, 75.0, 90.0, 95.0, 99.0, 100.0};
+  sim::Rng rng(1010);
+  auto check = [&](const std::vector<double>& samples) {
+    Histogram histogram(kBinning);
+    for (double s : samples) histogram.Add(s);
+    for (double p : kPs) {
+      const double exact = Percentile(samples, p);
+      const double got = histogram.OrderStatisticPercentile(p);
+      EXPECT_LE(std::abs(got - exact), histogram.BinWidth())
+          << "n=" << samples.size() << " p=" << p;
+      if (p == 0.0 || p == 100.0) {
+        EXPECT_EQ(got, exact) << "p=" << p;
+      }
+    }
+  };
+  for (int n = 2; n <= 40; ++n) {
+    std::vector<double> samples;
+    for (int i = 0; i < n; ++i) samples.push_back(rng.Uniform(0.0, 1000.0));
+    check(samples);
+  }
+  std::vector<double> dense;
+  for (int i = 0; i < 10000; ++i) dense.push_back(rng.Exponential(20.0));
+  check(dense);
+
+  EXPECT_EQ(Histogram(kBinning).OrderStatisticPercentile(50.0), 0.0);
+}
+
 TEST(Histogram, ResetForgets) {
   Histogram histogram({0.0, 10.0, 10});
   histogram.Add(3.0);
