@@ -63,10 +63,7 @@ echo "== micro_eventloop =="
 ./build-bench/bench/micro_eventloop $quick --json BENCH_eventloop.json
 
 echo "== micro_channel =="
-# --breakdown appends a second record (mode:"breakdown") with per-stage
-# cycle shares after the headline mode:"burst" line; gates that read the
-# first frames_per_sec match are unaffected.
-./build-bench/bench/micro_channel $quick --breakdown --json BENCH_channel.json
+./build-bench/bench/micro_channel $quick --json BENCH_channel.json
 
 if [[ "$run_fig10" == 1 ]]; then
   echo "== fig10 fixed-seed sweep (150 calls, seed 1010) =="

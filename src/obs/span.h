@@ -146,7 +146,9 @@ class EventLoopMetricsProbe : public sim::EventLoopProbe {
 
   void OnExecuted(const char* type, sim::Time at, double wall_us) override;
 
-  /// Total events observed (== loop.executed() delta while attached).
+  /// Total dispatches observed (== loop.executed() delta while attached;
+  /// the loop reports only events it dispatched, so inline work inside a
+  /// dispatch is never counted twice).
   [[nodiscard]] std::uint64_t total() const { return total_; }
 
  private:

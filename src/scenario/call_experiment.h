@@ -158,9 +158,11 @@ struct ExperimentMetrics {
   std::vector<std::size_t> queue_samples;    ///< BE queue depth series.
   double channel_busy_fraction = 0.0;
   std::int64_t cross_traffic_bytes = 0;
-  /// Discrete events the experiment's loop dispatched — the denominator for
-  /// scheduler-throughput accounting in the bench harness. Deterministic in
-  /// the seed like every other field.
+  /// Events the experiment's loop dispatched (sim::EventLoop::executed():
+  /// real dispatches only, so same-tick frame deliveries run inline by the
+  /// channel add nothing). The golden corpus pins it as the work count, and
+  /// the bench harness divides wall time by it. Deterministic in the seed
+  /// like every other field.
   std::uint64_t events_executed = 0;
   /// Canonical timeline JSONL (one "series" line per probe); empty unless
   /// `timeline.enabled`. Deterministic in the seed.

@@ -149,14 +149,6 @@ class EventLoop {
     rearm_type_ = type;
   }
 
-  /// Records `count` logical event executions that were batched into the
-  /// current dispatch instead of being scheduled individually (the wifi
-  /// burst-delivery path invokes owner hooks inline). Keeps executed() — an
-  /// observable that the golden corpus commits to — counting one event per
-  /// inline invocation, as if each had been scheduled. Callers fire the
-  /// probe themselves when one is attached (see probe()).
-  void CountInlineDispatches(std::uint64_t count) { executed_ += count; }
-
   /// Attaches (or with nullptr detaches) the execution probe.
   void SetProbe(EventLoopProbe* probe) { probe_ = probe; }
   [[nodiscard]] EventLoopProbe* probe() const { return probe_; }
@@ -184,7 +176,10 @@ class EventLoop {
   /// Number of pending (non-cancelled) events.
   [[nodiscard]] std::size_t pending() const { return live_; }
 
-  /// Total events executed (for micro-benchmarks).
+  /// Total events dispatched by this loop: one per callback invocation,
+  /// rearmed firings included. Work a callback does inline (the wifi
+  /// channel's same-tick frame delivery) is part of its dispatch and adds
+  /// nothing. The golden corpus pins this count as `events_executed`.
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   /// Cancelled-but-unreaped entries, heap and same-tick queue combined

@@ -2,57 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <limits>
 #include <utility>
 
 namespace kwikr::wifi {
-
-namespace {
-// Bound on same-tick staged deliveries (see deliver_stage_). The invariant
-// depth is 1 — the next delivery is staged strictly later in sim time — so
-// this is pure headroom; overflow falls back to the by-value closure.
-constexpr std::size_t kDeliverStageCapacity = 64;
-
-// Cheap monotonic cycle counter for the --breakdown stage attribution.
-// Shares are ratios of the same counter, so the unit (TSC ticks, generic
-// timer ticks, or ns) cancels out.
-inline std::uint64_t StageCycles() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_ia32_rdtsc();
-#elif defined(__aarch64__)
-  std::uint64_t v = 0;
-  asm volatile("mrs %0, cntvct_el0" : "=r"(v));
-  return v;
-#else
-  return static_cast<std::uint64_t>(
-      std::chrono::steady_clock::now().time_since_epoch().count());
-#endif
-}
-}  // namespace
 
 Channel::Channel(sim::EventLoop& loop, sim::Rng rng, PhyParams phy)
     : loop_(loop),
       rng_(rng),
       phy_(phy),
       edca_(phy.slot),
-      airtime_cache_(phy_),
-      deliver_stage_(kDeliverStageCapacity) {
-  // Pre-grow the staging ring to its bound at setup so the frame path's
-  // zero-allocation invariant holds from the first delivery.
-  for (std::size_t i = 0; i < kDeliverStageCapacity; ++i) {
-    deliver_stage_.push_back(Frame{});
-  }
-  deliver_stage_.clear();
-}
-
-void Channel::SetDeliverStageCapacityForTest(std::size_t capacity) {
-  deliver_stage_ = sim::FrameRing<Frame>(capacity);
-  for (std::size_t i = 0; i < capacity; ++i) {
-    deliver_stage_.push_back(Frame{});
-  }
-  deliver_stage_.clear();
-}
+      airtime_cache_(phy_) {}
 
 OwnerId Channel::RegisterOwner(DeliveryHandler on_delivery) {
   owners_.push_back(Owner{on_delivery, 0});
@@ -141,31 +101,12 @@ double Channel::BusyFraction() const {
 
 bool Channel::MediumIdle() const { return !busy_; }
 
-sim::Duration Channel::FrameAirtimeCached(const Frame& f) {
-  if (stage_profile_ == nullptr) {
-    return airtime_cache_.Lookup(f.packet.size_bytes, f.phy_rate_bps);
-  }
-  const std::uint64_t t0 = StageCycles();
-  const sim::Duration airtime =
-      airtime_cache_.Lookup(f.packet.size_bytes, f.phy_rate_bps);
-  stage_profile_->airtime_cycles += StageCycles() - t0;
-  ++stage_profile_->airtime_calls;
-  return airtime;
-}
-
 void Channel::BeginIdlePeriod() {
   busy_ = false;
   // One batched sweep restarts every backlogged countdown AND finds the
   // earliest candidate (draw order and result are exactly those of the old
   // per-contender restart-then-rescan code — see EdcaCore::BeginIdle).
-  const bool prof = stage_profile_ != nullptr;
-  const std::uint64_t t0 = prof ? StageCycles() : 0;
-  const sim::Time earliest = edca_.BeginIdle(loop_.now(), rng_);
-  if (prof) {
-    stage_profile_->arbitration_cycles += StageCycles() - t0;
-    ++stage_profile_->arbitration_calls;
-  }
-  ArmArbitration(earliest);
+  ArmArbitration(edca_.BeginIdle(loop_.now(), rng_));
 }
 
 void Channel::CancelArbitration() {
@@ -181,14 +122,7 @@ void Channel::ScheduleArbitration() {
     CancelArbitration();
     return;
   }
-  const bool prof = stage_profile_ != nullptr;
-  const std::uint64_t t0 = prof ? StageCycles() : 0;
-  const sim::Time earliest = edca_.EarliestCandidate(rng_);
-  if (prof) {
-    stage_profile_->arbitration_cycles += StageCycles() - t0;
-    ++stage_profile_->arbitration_calls;
-  }
-  ArmArbitration(earliest);
+  ArmArbitration(edca_.EarliestCandidate(rng_));
 }
 
 void Channel::ArmArbitration(sim::Time earliest) {
@@ -221,16 +155,10 @@ void Channel::StartTransmissions(sim::Time start) {
   // far (a branchless column pass — see EdcaCore::Arbitrate). The
   // winner/loser sets live in member scratch vectors: after warm-up this
   // function performs no allocation at all (see bench/micro_channel).
-  const bool prof = stage_profile_ != nullptr;
-  std::uint64_t t0 = prof ? StageCycles() : 0;
   std::vector<ContenderId>& winners = winners_scratch_;
   winners.clear();
   edca_.Arbitrate(start, winners);
   if (winners.empty()) {
-    if (prof) {
-      stage_profile_->arbitration_cycles += StageCycles() - t0;
-      ++stage_profile_->arbitration_calls;
-    }
     ScheduleArbitration();
     return;
   }
@@ -258,10 +186,6 @@ void Channel::StartTransmissions(sim::Time start) {
     }
   }
   for (ContenderId id : virtual_losers) HandleFailure(id);
-  if (prof) {
-    stage_profile_->arbitration_cycles += StageCycles() - t0;
-    ++stage_profile_->arbitration_calls;
-  }
 
   // Medium goes busy for the longest of the simultaneous transmissions.
   sim::Time end = start;
@@ -269,7 +193,8 @@ void Channel::StartTransmissions(sim::Time start) {
     Contender& c = contenders_[id];
     assert(!c.queue.empty());
     const Frame& f = c.queue.front();
-    const sim::Duration airtime = FrameAirtimeCached(f);
+    const sim::Duration airtime =
+        airtime_cache_.Lookup(f.packet.size_bytes, f.phy_rate_bps);
     c.txop_used = airtime;  // a fresh medium win opens a new TXOP.
     end = std::max(end, start + airtime);
   }
@@ -311,7 +236,8 @@ void Channel::FinishTransmissions(sim::Time end) {
       // queued frames go out back-to-back without re-contending.
       if (!c.queue.empty() && c.params.txop_limit > 0) {
         const Frame& next = c.queue.front();
-        const sim::Duration airtime = FrameAirtimeCached(next);
+        const sim::Duration airtime =
+            airtime_cache_.Lookup(next.packet.size_bytes, next.phy_rate_bps);
         if (c.txop_used + airtime <= c.params.txop_limit) {
           c.txop_used += airtime;
           ++txop_continuations_;
@@ -339,33 +265,11 @@ void Channel::FinishTransmissions(sim::Time end) {
 }
 
 void Channel::DrainStagedDeliveries() {
-  while (!deliver_stage_.empty()) {
-    Frame& staged = deliver_stage_.front();
-    Owner& owner = owners_[staged.dest];
-    sim::EventLoopProbe* probe = loop_.probe();
-    const bool prof = stage_profile_ != nullptr;
-    const std::uint64_t t0 = prof ? StageCycles() : 0;
-    if (probe == nullptr) {
-      owner.on_delivery(std::move(staged));
-    } else {
-      const auto wall_begin = std::chrono::steady_clock::now();
-      owner.on_delivery(std::move(staged));
-      const double wall_us =
-          std::chrono::duration<double, std::micro>(
-              std::chrono::steady_clock::now() - wall_begin)
-              .count();
-      probe->OnExecuted("wifi.deliver", loop_.now(), wall_us);
-    }
-    if (prof) {
-      stage_profile_->delivery_cycles += StageCycles() - t0;
-      ++stage_profile_->delivery_calls;
-    }
-    deliver_stage_.pop_front();
-    // The elided "wifi.deliver" dispatch still counts as a logical event:
-    // executed() is a golden-corpus observable and must not move with the
-    // inline drain.
-    loop_.CountInlineDispatches(1);
-  }
+  if (!staged_) return;
+  owners_[staged_frame_.dest].on_delivery(std::move(staged_frame_));
+  // Cleared after the hook, so a hook that re-entered the channel and staged
+  // a second frame would trip HandleSuccess's depth-1 assert.
+  staged_ = false;
 }
 
 void Channel::HandleFailure(ContenderId id) {
@@ -389,7 +293,7 @@ void Channel::HandleFailure(ContenderId id) {
 void Channel::HandleSuccess(ContenderId id, sim::Time end) {
   Contender& c = contenders_[id];
   // The frame is stamped IN the ring head and moved straight into the
-  // staging ring / delivery closure below — one 184-byte copy per delivered
+  // staged slot / delivery closure below — one 184-byte copy per delivered
   // frame, not two. Nothing between here and the pop re-enters this queue:
   // delivery runs after the medium-state transition (inline drain or
   // scheduled event), and the tx-feedback / fault hooks only update rate
@@ -430,18 +334,19 @@ void Channel::HandleSuccess(ContenderId id, sim::Time end) {
       copies = 1 + std::max(fault.duplicates, 0);
     }
     // Deliver at the end of the frame (now). The common (unfaulted,
-    // undelayed) frame is moved into the staging ring, and
+    // undelayed) frame is moved into the staged slot, and
     // FinishTransmissions drains it inline right after the medium-state
     // transition (one dispatch for the whole frame cycle).
-    if (deliver_at == end && copies == 1 &&
-        deliver_stage_.push_back(std::move(frame))) {
+    if (deliver_at == end && copies == 1) {
+      assert(!staged_);
+      staged_frame_ = std::move(frame);
+      staged_ = true;
       c.queue.pop_front();
     } else {
-      // Delayed or duplicated deliveries (fault hook) and staging-ring
-      // overflow tolerate arbitrary ordering, so they ride the
-      // Frame-by-value closure — the largest event closure in the tree;
-      // InlineTask's buffer is sized to hold it, and the static_assert
-      // keeps that true as Packet/Frame grow.
+      // Delayed or duplicated deliveries (fault hook) tolerate arbitrary
+      // ordering, so they ride the Frame-by-value closure — the largest
+      // event closure in the tree; InlineTask's buffer is sized to hold it,
+      // and the static_assert keeps that true as Packet/Frame grow.
       for (int copy = 1; copy < copies; ++copy) {
         auto deliver_copy = [this, dest, frame]() mutable {
           owners_[dest].on_delivery(std::move(frame));

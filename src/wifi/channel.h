@@ -169,30 +169,6 @@ class Channel {
     return txop_continuations_;
   }
 
-  /// The shared airtime shape cache (introspection: hit/miss counters feed
-  /// the bench --breakdown record and the frame_path tests).
-  [[nodiscard]] const AirtimeCache& airtime_cache() const {
-    return airtime_cache_;
-  }
-
-  /// Per-stage cycle attribution for bench/micro_channel --breakdown.
-  /// Detached (nullptr, the default) the frame cycle pays one predictable
-  /// null-check branch per instrumented stage and no clock reads — the same
-  /// contract as the flight recorder (DESIGN.md §15).
-  struct StageProfile {
-    std::uint64_t arbitration_cycles = 0;  ///< EdcaCore sweeps + winner work.
-    std::uint64_t airtime_cycles = 0;      ///< airtime cache lookups.
-    std::uint64_t delivery_cycles = 0;     ///< owner delivery hooks.
-    std::uint64_t arbitration_calls = 0;
-    std::uint64_t airtime_calls = 0;
-    std::uint64_t delivery_calls = 0;
-  };
-  void SetStageProfile(StageProfile* profile) { stage_profile_ = profile; }
-
-  /// Rebuilds the delivery staging ring with `capacity` slots (test-only:
-  /// forces the overflow fallback path; capacity 0 rejects every push).
-  void SetDeliverStageCapacityForTest(std::size_t capacity);
-
  private:
   struct Contender {
     OwnerId owner = 0;
@@ -213,12 +189,9 @@ class Channel {
   };
 
   [[nodiscard]] bool MediumIdle() const;
-  /// Airtime of `f` through the shared shape cache (profiled when a
-  /// StageProfile is attached).
-  [[nodiscard]] sim::Duration FrameAirtimeCached(const Frame& f);
-  /// Invokes every staged owner hook, counting each as a logical dispatch so
-  /// EventLoop::executed() — a golden-corpus observable — counts one
-  /// "wifi.deliver" event per delivered frame, as a scheduled delivery would.
+  /// Hands the staged frame, if any, to its owner's delivery hook. Runs
+  /// inside the enclosing wifi.tx_done / wifi.txop_burst dispatch; it is
+  /// not an event of its own.
   void DrainStagedDeliveries();
   void BeginIdlePeriod();
   void ScheduleArbitration();
@@ -258,13 +231,16 @@ class Channel {
   /// per-transmission vector allocations this replaces were
   /// a top line in the fig10 profile.
   std::vector<ContenderId> in_flight_;
-  /// Staging ring for same-tick deliveries: the common (unfaulted,
-  /// undelayed) delivered frame is moved here and DrainStagedDeliveries runs
-  /// its owner hook inline at the tail of FinishTransmissions — no event and
-  /// no 200-byte Frame-by-value closure. Delayed / duplicated deliveries
-  /// (fault hook) and ring overflow fall back to the by-value closure, which
-  /// tolerates any ordering.
-  sim::FrameRing<Frame> deliver_stage_;
+  /// The one same-tick delivery slot: the common (unfaulted, undelayed)
+  /// delivered frame is moved here and DrainStagedDeliveries runs its owner
+  /// hook inline at the tail of FinishTransmissions — no event and no
+  /// 200-byte Frame-by-value closure. Depth 1 is an invariant: HandleSuccess
+  /// stages at most one frame per FinishTransmissions, which drains it
+  /// before returning, and owner hooks only schedule events (they never
+  /// re-enter FinishTransmissions). Delayed or duplicated deliveries (fault
+  /// hook) ride the by-value closure instead, which tolerates any ordering.
+  Frame staged_frame_;
+  bool staged_ = false;
   // Scratch for StartTransmissions (not re-entrant; event-driven only).
   std::vector<ContenderId> winners_scratch_;
   std::vector<ContenderId> losers_scratch_;
@@ -273,8 +249,6 @@ class Channel {
   sim::Time busy_started_ = 0;
   std::uint64_t collisions_ = 0;
   std::uint64_t txop_continuations_ = 0;
-
-  StageProfile* stage_profile_ = nullptr;
 };
 
 }  // namespace kwikr::wifi

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -737,14 +738,6 @@ TEST(EventLoopRearm, NotRearmingReleasesTheSlot) {
   EXPECT_FALSE(loop.Cancel(id));
 }
 
-TEST(EventLoopRearm, CountInlineDispatchesFeedsExecuted) {
-  sim::EventLoop loop;
-  loop.ScheduleAt(1, "test.batch", [&] { loop.CountInlineDispatches(41); });
-  loop.Run();
-  // 1 real dispatch + 41 logical inline ones.
-  EXPECT_EQ(loop.executed(), 42u);
-}
-
 // ---------------------------------------------------------- burst delivery ----
 
 /// Closed-loop AP->station harness that records every delivery as
@@ -775,9 +768,17 @@ class RecordingBss {
     }
   }
 
-  [[nodiscard]] wifi::Channel& channel() { return channel_; }
-
   void RunFor(sim::Duration d) { loop_.RunFor(d); }
+
+  void SetProbe(sim::EventLoopProbe* probe) { loop_.SetProbe(probe); }
+
+  /// Installs a delivery fault hook that duplicates every frame at zero
+  /// delay, so every delivery rides a scheduled "wifi.deliver" event.
+  void DuplicateEveryDelivery() {
+    channel_.SetDeliveryFaultHook(
+        wifi::Channel::DeliveryFaultHook::Member<&RecordingBss::Duplicate>(
+            this));
+  }
 
   [[nodiscard]] const std::vector<std::pair<std::uint32_t, sim::Time>>&
   deliveries() const {
@@ -805,6 +806,12 @@ class RecordingBss {
     Refill(frame.packet.flow);
   }
 
+  wifi::Channel::DeliveryFault Duplicate(const wifi::Frame&, sim::Time) {
+    wifi::Channel::DeliveryFault fault;
+    fault.duplicates = 1;
+    return fault;
+  }
+
   sim::EventLoop loop_;
   wifi::Channel channel_;
   Tx tx_[3];
@@ -812,19 +819,38 @@ class RecordingBss {
   std::vector<std::pair<std::uint32_t, sim::Time>> deliveries_;
 };
 
-TEST(BurstDelivery, StageOverflowFallsBackToScheduledDelivery) {
-  RecordingBss normal;
-  RecordingBss starved;
-  // Capacity 0 rejects every push: EVERY delivery takes the by-value
-  // fallback closure.
-  starved.channel().SetDeliverStageCapacityForTest(0);
-  normal.RunFor(sim::Millis(100));
-  starved.RunFor(sim::Millis(100));
-  ASSERT_GT(normal.deliveries().size(), 300u);
-  // The fallback is a same-tick scheduled event, so frames, order and
-  // timestamps are unchanged — only the vehicle differs.
-  EXPECT_EQ(normal.deliveries(), starved.deliveries());
-  EXPECT_EQ(normal.executed(), starved.executed());
+/// Counts every dispatch the loop reports, and the "wifi.deliver" ones.
+struct CountingProbe final : sim::EventLoopProbe {
+  void OnExecuted(const char* type, sim::Time, double) override {
+    ++total;
+    if (std::string_view(type) == "wifi.deliver") ++deliver;
+  }
+  std::uint64_t total = 0;
+  std::uint64_t deliver = 0;
+};
+
+TEST(BurstDelivery, ExecutedCountsOnlyDispatchedEvents) {
+  // Unfaulted: every delivery runs inline inside its wifi.tx_done or
+  // wifi.txop_burst dispatch, so no "wifi.deliver" event exists and the
+  // probe sees exactly the dispatches executed() counts.
+  RecordingBss inline_bss;
+  CountingProbe inline_probe;
+  inline_bss.SetProbe(&inline_probe);
+  inline_bss.RunFor(sim::Millis(100));
+  ASSERT_GT(inline_bss.deliveries().size(), 300u);
+  EXPECT_EQ(inline_probe.total, inline_bss.executed());
+  EXPECT_EQ(inline_probe.deliver, 0u);
+
+  // Duplicated at zero delay: every copy is a scheduled "wifi.deliver"
+  // event, one dispatch per owner-hook call.
+  RecordingBss duplicated;
+  CountingProbe duplicated_probe;
+  duplicated.SetProbe(&duplicated_probe);
+  duplicated.DuplicateEveryDelivery();
+  duplicated.RunFor(sim::Millis(100));
+  ASSERT_GT(duplicated.deliveries().size(), 300u);
+  EXPECT_EQ(duplicated_probe.deliver, duplicated.deliveries().size());
+  EXPECT_EQ(duplicated_probe.total, duplicated.executed());
 }
 
 TEST(FramePathFleet, ShardedContentionDigestIsWorkerCountInvariant) {
