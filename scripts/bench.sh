@@ -29,6 +29,18 @@
 #   --quick     shrink the micro workload (CI smoke; not for committing).
 #   --no-fig10  skip the scenario sweep (micro numbers only).
 #   --no-fleet  skip the spill-mode shard-runner sweep.
+#
+# Paired A/B of the repository benchmark (perfbench, BENCHMARK.json)
+# against another revision; records nothing:
+#
+#   scripts/bench.sh --ab <rev> [--seed N] [--workload W]
+#
+# Builds <rev>'s perfbench in a temporary git worktree and this checkout's
+# perfbench, each in its own CARGO_TARGET_DIR, then runs 10 pairs of
+# BENCHMARK.json's run_seconds runs per workload (default: every
+# BENCHMARK.json workload) at --seed (default 1), alternating which side
+# runs first. Prints, per workload and end-to-end metric, both sides'
+# median and quartiles and how many pairs the checkout won.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -36,21 +48,122 @@ cd "$(dirname "$0")/.."
 source scripts/common.sh
 jobs=$(nproc 2>/dev/null || echo 4)
 
+usage="usage: scripts/bench.sh [--quick] [--no-fig10] [--no-fleet]
+       scripts/bench.sh --ab <rev> [--seed N] [--workload W]"
 quick=""
 run_fig10=1
 run_fleet=1
-for arg in "$@"; do
-  case "$arg" in
+ab_rev=""
+ab_seed=1
+ab_workloads=""
+while [[ $# -gt 0 ]]; do
+  case "$1" in
     --quick) quick="--quick" ;;
     --no-fig10) run_fig10=0 ;;
     --no-fleet) run_fleet=0 ;;
-    *) echo "usage: scripts/bench.sh [--quick] [--no-fig10] [--no-fleet]" >&2
+    --ab|--seed|--workload)
+      [[ $# -ge 2 ]] || { echo "$usage" >&2; exit 2; }
+      case "$1" in
+        --ab) ab_rev="$2" ;;
+        --seed) ab_seed="$2" ;;
+        --workload) ab_workloads="$2" ;;
+      esac
+      shift ;;
+    *) echo "$usage" >&2
        exit 2 ;;
   esac
+  shift
 done
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+if [[ -n "$ab_rev" ]]; then
+  base_sha=$(git rev-parse --verify "${ab_rev}^{commit}")
+  trap 'git worktree remove --force "$tmp/base" >/dev/null 2>&1 || true
+        rm -rf "$tmp"' EXIT
+  git worktree add --quiet --detach "$tmp/base" "$base_sha" >/dev/null
+  ab_seconds=$(python3 -c \
+    'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+  [[ -n "$ab_workloads" ]] || ab_workloads=$(python3 -c \
+    'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+
+  # ab_perfbench <side> <run.py args...>: perfbench/run.py of the base
+  # worktree or of this checkout, each with its own build and work dir.
+  ab_perfbench() {
+    local side="$1" tree=.
+    shift
+    [[ "$side" == base ]] && tree="$tmp/base"
+    CARGO_TARGET_DIR="$tmp/build-$side" python3 "$tree/perfbench/run.py" \
+      --seed "$ab_seed" --trace 0 --work-dir "$tmp/work-$side" "$@" \
+      2>>"$tmp/build-$side.log"
+  }
+
+  # ab_run <side> <workload> <pair>: one timed run; appends its result line,
+  # tagged, to $tmp/ab.jsonl.
+  ab_run() {
+    local line
+    line=$(ab_perfbench "$1" --workload "$2" --seconds "$ab_seconds" \
+      | tail -1) || true
+    [[ "$line" == "{"* ]] || line="{}"
+    echo "{\"side\":\"$1\",\"workload\":\"$2\",\"pair\":$3,\"result\":$line}" \
+      >> "$tmp/ab.jsonl"
+    echo "  $2 pair $3 $1: $line"
+  }
+
+  echo "== build perfbench: base ${base_sha:0:12} and this checkout =="
+  for side in base change; do
+    ab_perfbench "$side" --workload congested_cell --seconds 0.5 --tiny \
+      > /dev/null || { cat "$tmp/build-$side.log" >&2; exit 1; }
+  done
+
+  for workload in $ab_workloads; do
+    echo "== $workload: 10 pairs of ${ab_seconds} s, seed $ab_seed =="
+    for ((pair = 0; pair < 10; ++pair)); do
+      if ((pair % 2 == 0)); then
+        ab_run change "$workload" "$pair"; ab_run base "$workload" "$pair"
+      else
+        ab_run base "$workload" "$pair"; ab_run change "$workload" "$pair"
+      fi
+    done
+  done
+
+  python3 - "$tmp/ab.jsonl" "${base_sha:0:12}" <<'PY'
+import json
+import statistics
+import sys
+
+spec = json.load(open("BENCHMARK.json"))
+runs = [json.loads(line) for line in open(sys.argv[1])]
+print(f"== A/B: this checkout (change) vs {sys.argv[2]} (base); "
+      "median [q1, q3], wins = pairs the change was strictly better ==")
+for workload in dict.fromkeys(r["workload"] for r in runs):
+    rows = [r for r in runs if r["workload"] == workload]
+    pairs = sorted({r["pair"] for r in rows})
+    for metric in spec["end_to_end"]:
+        name, higher = metric["name"], metric["better"] == "higher"
+        value = {(r["side"], r["pair"]): r["result"]["metrics"][name]["value"]
+                 for r in rows if name in r["result"].get("metrics", {})}
+        summary = []
+        for side in ("base", "change"):
+            xs = [value[side, p] for p in pairs if (side, p) in value]
+            if len(xs) < 2:
+                summary.append(f"{side} n={len(xs)}")
+                continue
+            q1, q2, q3 = statistics.quantiles(xs, n=4)
+            summary.append(f"{side} {q2:.4g} [{q1:.4g}, {q3:.4g}]")
+        both = [p for p in pairs if ("base", p) in value and ("change", p) in value]
+        wins = sum((value["change", p] > value["base", p]) if higher else
+                   (value["change", p] < value["base", p]) for p in both)
+        print(f"{workload:15} {name:15} {metric['unit']:9} "
+              f"{summary[0]:32} {summary[1]:32} wins {wins}/{len(both)}")
+bad = [f'{r["workload"]} pair {r["pair"]} {r["side"]}' for r in runs
+       if not r["result"].get("correct") or r["result"].get("failed")]
+if bad:
+    print("runs with failed calls or an incorrect result:", ", ".join(bad))
+PY
+  exit 0
+fi
 
 echo "== build (Release) =="
 # ensure_build_dir wipes a build-bench poisoned by a leftover sanitizer

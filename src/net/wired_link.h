@@ -14,6 +14,12 @@ namespace kwikr::net {
 /// Unidirectional wired link with a serialization rate, propagation delay and
 /// a drop-tail FIFO queue. Models the paper's wired segment between the
 /// remote peer / server and the Wi-Fi AP. Use two instances for full duplex.
+/// Send computes `depart = max(now, previous depart) + serialization`, so an
+/// unfaulted link costs one event per packet (its "net.wire_prop" arrival);
+/// a fault hook adds a "net.wire_tx" event at the departure to consult it.
+/// A departure at the current tick counts as already gone, so a Send at that
+/// tick finds its queue slot free whatever the order of same-tick events
+/// (DESIGN.md §11 on how this differs from a two-event pipeline).
 class WiredLink {
  public:
   /// Per-packet delivery callback. Non-owning (kwikr::FunctionRef): bind a
@@ -43,7 +49,14 @@ class WiredLink {
   using FaultHook = std::function<LinkFault(const Packet& packet)>;
   void SetFaultHook(FaultHook hook);
 
-  [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
+  /// Queued packets: accepted ones whose departure is still in the future
+  /// (drops the departed ones from the ring first).
+  [[nodiscard]] std::size_t queue_length() {
+    PruneDeparted();
+    return departures_.size();
+  }
+  /// Packets scheduled to arrive: counted at Send on an unfaulted link, at
+  /// the departure once the hook passes them on a faulted one.
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   /// Packets the fault hook lost on the wire (excluded from `delivered`).
@@ -51,14 +64,15 @@ class WiredLink {
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
-  void StartTransmission();
+  void Propagate(Packet packet, sim::Time from);
+  void PruneDeparted();
 
   sim::EventLoop& loop_;
   Config config_;
   Receiver receiver_;
   FaultHook fault_hook_;
-  sim::FrameRing<Packet> queue_;
-  bool transmitting_ = false;
+  sim::FrameRing<sim::Time> departures_;  ///< pending, ascending.
+  sim::Time free_at_ = 0;                 ///< last accepted departure.
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t faulted_ = 0;

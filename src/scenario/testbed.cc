@@ -125,7 +125,8 @@ std::vector<CrossFlow*> Testbed::AddTcpBulkFlows(
     station.AddReceiver(
         [receiver](const net::Packet& packet, sim::Time arrival) {
           receiver->OnSegment(packet, arrival);
-        });
+        },
+        flow->flow);
     transport::TcpRenoSender* sender = flow->sender.get();
     bss.RegisterWanEndpoint(
         server, [sender](net::Packet packet, sim::Time /*arrival*/) {

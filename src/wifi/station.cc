@@ -26,8 +26,8 @@ void Station::Send(net::Packet packet) {
                    Frame{std::move(packet), ap_->owner(), config_.rate_bps});
 }
 
-void Station::AddReceiver(Receiver receiver) {
-  receivers_.push_back(std::move(receiver));
+void Station::AddReceiver(Receiver receiver, net::FlowId flow) {
+  receivers_.emplace_back(flow, std::move(receiver));
 }
 
 void Station::SetLinkQuality(LinkQuality quality) {
@@ -80,7 +80,8 @@ std::uint64_t Station::uplink_queue_drops() const {
 
 void Station::OnDownlinkFrame(Frame&& frame) {
   const sim::Time arrival = channel_.loop().now();
-  for (const auto& receiver : receivers_) {
+  for (const auto& [flow, receiver] : receivers_) {
+    if (flow != net::kNoFlow && flow != frame.packet.flow) continue;
     receiver(frame.packet, arrival);
   }
 }

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include <memory>
@@ -41,8 +42,9 @@ class Station {
   /// Sends a packet uplink through the AC matching its TOS byte.
   void Send(net::Packet packet);
 
-  /// Registers a downlink receiver (multiple allowed; all see every packet).
-  void AddReceiver(Receiver receiver);
+  /// Registers a downlink receiver; receivers run in registration order. One
+  /// keyed by a flow sees only that flow's packets, a kNoFlow one every packet.
+  void AddReceiver(Receiver receiver, net::FlowId flow = net::kNoFlow);
 
   /// Adjusts the link (mobility): new MCS rate and frame error probability.
   void SetLinkQuality(LinkQuality quality);
@@ -90,7 +92,7 @@ class Station {
   Config config_;
   OwnerId owner_;
   std::array<ContenderId, kNumAccessCategories> uplink_;
-  std::vector<Receiver> receivers_;
+  std::vector<std::pair<net::FlowId, Receiver>> receivers_;
   std::vector<RoamCallback> roam_callbacks_;
   std::unique_ptr<ArfPolicy> arf_;
   double distance_m_ = 0.0;

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/checksum.h"
@@ -7,6 +11,7 @@
 #include "net/wire.h"
 #include "net/wired_link.h"
 #include "sim/event_loop.h"
+#include "sim/rng.h"
 
 namespace kwikr::net {
 namespace {
@@ -232,6 +237,91 @@ TEST(WiredLink, CountsDelivered) {
   loop.Run();
   EXPECT_EQ(link.delivered(), 2u);
   EXPECT_EQ(link.queue_length(), 0u);
+}
+
+// Differential check against the closed-form recurrence
+//   depart_k = max(send_k, depart_{k-1}) + ser_k,  arrival_k = depart_k + prop
+// where packet k is dropped iff accepted packets whose departure is still
+// after send_k already fill the queue. Small capacities hit drop-tail, and a
+// quarter of the sends land exactly on a pending departure tick.
+TEST(WiredLink, MatchesClosedFormDepartureRecurrence) {
+  sim::Rng rng(0x5EED);
+  const std::int64_t rates[] = {8'000, 1'000'000, 100'000'000, 1'000'000'000};
+  std::uint64_t total_drops = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    sim::EventLoop loop;
+    WiredLink::Config config;
+    config.rate_bps = rates[rng.UniformInt(0, 3)];
+    config.propagation = rng.UniformInt(0, 3) * 250 * sim::kMicrosecond;
+    config.queue_capacity_packets =
+        static_cast<std::size_t>(rng.UniformInt(1, 4));
+    std::vector<std::pair<std::uint64_t, sim::Time>> arrivals;
+    auto on_arrival = [&](Packet p) { arrivals.emplace_back(p.id, loop.now()); };
+    WiredLink link(loop, config, on_arrival);
+
+    std::vector<std::pair<std::uint64_t, sim::Time>> expected;
+    std::vector<sim::Time> pending;  // model departures, ascending.
+    std::uint64_t expected_drops = 0;
+    sim::Time send = 0;
+    sim::Time free_at = 0;
+    for (std::uint64_t id = 1; id <= 40; ++id) {
+      std::erase_if(pending, [&](sim::Time d) { return d <= send; });
+      Packet p;
+      p.id = id;
+      p.size_bytes = static_cast<std::int32_t>(rng.UniformInt(40, 1500));
+      const sim::Duration ser = sim::TransmissionTime(
+          static_cast<std::int64_t>(p.size_bytes) * 8, config.rate_bps);
+      if (pending.size() >= config.queue_capacity_packets) {
+        ++expected_drops;
+      } else {
+        free_at = std::max(send, free_at) + ser;
+        pending.push_back(free_at);
+        expected.emplace_back(id, free_at + config.propagation);
+      }
+      loop.ScheduleAt(send, [&link, p] { link.Send(p); });
+      if (!pending.empty() && rng.Bernoulli(0.25)) {
+        send = pending.front();
+      } else {
+        send += rng.UniformInt(0, 2 * ser);
+      }
+    }
+    loop.Run();
+    EXPECT_EQ(arrivals, expected) << "trial " << trial;
+    EXPECT_EQ(link.dropped(), expected_drops) << "trial " << trial;
+    EXPECT_EQ(link.delivered(), expected.size()) << "trial " << trial;
+    total_drops += expected_drops;
+  }
+  EXPECT_GT(total_drops, 0u);  // the trials do reach drop-tail.
+}
+
+/// Counts dispatches per event type.
+struct TypeCountingProbe : sim::EventLoopProbe {
+  std::map<std::string, int> counts;
+  void OnExecuted(const char* type, sim::Time, double) override {
+    ++counts[type];
+  }
+};
+
+TEST(WiredLink, UnfaultedLinkCostsOneDispatchPerPacket) {
+  constexpr int kPackets = 50;
+  for (const bool faulted : {false, true}) {
+    sim::EventLoop loop;
+    TypeCountingProbe probe;
+    loop.SetProbe(&probe);
+    int arrivals = 0;
+    auto on_arrival = [&](Packet) { ++arrivals; };
+    WiredLink link(loop, WiredLink::Config{}, on_arrival);
+    if (faulted) {
+      link.SetFaultHook([](const Packet&) { return WiredLink::LinkFault{}; });
+    }
+    Packet p;
+    p.size_bytes = 1200;
+    for (int i = 0; i < kPackets; ++i) link.Send(p);
+    loop.Run();
+    EXPECT_EQ(arrivals, kPackets);
+    EXPECT_EQ(probe.counts["net.wire_prop"], kPackets);
+    EXPECT_EQ(probe.counts["net.wire_tx"], faulted ? kPackets : 0);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "net/packet.h"
@@ -666,6 +667,32 @@ TEST_F(BssFixture, MultipleReceiversAllSeePackets) {
   loop.Run();
   EXPECT_EQ(count_a, 1);
   EXPECT_EQ(count_b, 1);
+}
+
+TEST_F(BssFixture, FlowKeyedReceiversSeeOnlyTheirFlowInRegistrationOrder) {
+  Station station(channel, ap, {.address = 100, .rate_bps = 26'000'000});
+  // (receiver, flow) per call, in call order.
+  std::vector<std::pair<char, net::FlowId>> calls;
+  station.AddReceiver(
+      [&](const net::Packet& p, sim::Time) { calls.emplace_back('a', p.flow); },
+      7);
+  station.AddReceiver(
+      [&](const net::Packet& p, sim::Time) { calls.emplace_back('*', p.flow); });
+  station.AddReceiver(
+      [&](const net::Packet& p, sim::Time) { calls.emplace_back('b', p.flow); },
+      9);
+  for (const net::FlowId flow : {net::FlowId{7}, net::FlowId{9},
+                                 net::kNoFlow, net::FlowId{3}}) {
+    net::Packet p;
+    p.dst = 100;
+    p.size_bytes = 100;
+    p.flow = flow;
+    ap.DeliverFromWan(p);
+  }
+  loop.Run();
+  const std::vector<std::pair<char, net::FlowId>> expected = {
+      {'a', 7}, {'*', 7}, {'*', 9}, {'b', 9}, {'*', net::kNoFlow}, {'*', 3}};
+  EXPECT_EQ(calls, expected);
 }
 
 TEST_F(BssFixture, UplinkUsesAccessCategoryFromTos) {
