@@ -177,8 +177,7 @@ inline unsigned long PeakRssKb() {
 /// Emits the machine-readable timing record of a fleet-backed bench — one
 /// JSON object per line so the perf trajectory can be scraped with grep.
 /// When the total dispatched-event count is supplied, simulator events/sec
-/// rides along (the scheduler throughput achieved inside a full scenario,
-/// complementing micro_eventloop's synthetic number).
+/// rides along (the scheduler throughput achieved inside a full scenario).
 inline void PrintFleetTiming(const char* bench, int jobs, double wall_ms,
                              long calls, std::uint64_t events = 0) {
   std::printf("{\"bench\":\"%s\",\"jobs\":%d,\"wall_ms\":%.1f,\"calls\":%ld",

@@ -17,12 +17,18 @@
 #      in parallel, and the multi-process shard runner whose fork/merge
 #      paths must stay clean when the chunk functions spin up their own
 #      pools).
-#   4. perf: Release-mode micro_eventloop + micro_channel smoke against the
-#      committed BENCH_eventloop.json / BENCH_channel.json — fails when the
-#      headline throughput regresses more than 20% or the dispatch / frame
-#      path allocates.
+#   4. pins: exact work counts. perfbench's traced run (seed 1, 1 s) of each
+#      BENCHMARK.json workload must reproduce every sim.events* count,
+#      wifi.dispatches_per_frame and alloc.per_event, and the fig10 fixed
+#      sweep (150 calls, seed 1010) its "events" total, as committed in
+#      scripts/work_pins.json. The counts repeat exactly on every host, so
+#      any mismatch is a change in the simulator's work: the step prints
+#      the actual counts, and the pins are updated by hand with a
+#      CHANGES.md line that explains the change. Speed is gated separately,
+#      by scripts/bench.sh --ab against the merge base (CI's perfbench-ab
+#      job), because only a same-host pair can tell a slowdown from noise.
 #
-# Usage: scripts/check.sh [--ci] [--no-tsan] [--no-bench]
+# Usage: scripts/check.sh [--ci] [--no-tsan]
 #   --ci  machine-readable per-step summary lines (CHECK-STEP|name|status)
 #         on stdout and, when $GITHUB_STEP_SUMMARY is set, a markdown table
 #         appended there. All steps run even after a failure so CI reports
@@ -36,13 +42,11 @@ jobs=$(nproc 2>/dev/null || echo 4)
 
 ci=0
 run_tsan=1
-run_bench=1
 for arg in "$@"; do
   case "$arg" in
     --ci) ci=1 ;;
     --no-tsan) run_tsan=0 ;;
-    --no-bench) run_bench=0 ;;
-    *) echo "usage: scripts/check.sh [--ci] [--no-tsan] [--no-bench]" >&2
+    *) echo "usage: scripts/check.sh [--ci] [--no-tsan]" >&2
        exit 2 ;;
   esac
 done
@@ -137,18 +141,50 @@ step_tsan() {
   ctest --test-dir build-tsan -L fleet_shard --output-on-failure -j "$jobs"
 }
 
-step_bench() {
-  ensure_build_dir build-bench Release ""
-  cmake --build build-bench -j "$jobs" --target micro_eventloop micro_channel
-  ./build-bench/bench/micro_eventloop --quick --baseline BENCH_eventloop.json
-  if [[ -f BENCH_channel.json ]]; then
-    ./build-bench/bench/micro_channel --quick --baseline BENCH_channel.json
-  else
-    # Not silent for the same reason as the missing-eventloop baseline below.
-    echo "warning: BENCH_channel.json not committed; frame-path perf gate" \
-         "inactive — run scripts/bench.sh" >&2
-    ./build-bench/bench/micro_channel --quick
-  fi
+step_pins() {
+  cmake --build build -j "$jobs" --target fig10_wild_delay
+  python3 - "$jobs" <<'PY'
+import json
+import subprocess
+import sys
+
+pins = json.load(open("scripts/work_pins.json"))
+workloads = [w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]]
+actual = {}
+for workload in workloads:
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "1"],
+        check=True, stdout=subprocess.PIPE, text=True).stdout
+    result = json.loads(out.splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        sys.exit(f"pins: perfbench {workload} run was incorrect or had "
+                 "failed calls")
+    actual[workload] = {
+        name: metric["value"] for name, metric in result["metrics"].items()
+        if name.startswith("sim.events")
+        or name in ("wifi.dispatches_per_frame", "alloc.per_event")}
+out = subprocess.run(
+    ["build/bench/fig10_wild_delay", "--calls", "150", "--jobs", sys.argv[1]],
+    check=True, stdout=subprocess.PIPE, text=True).stdout
+record = next(line for line in out.splitlines()
+              if line.startswith('{"bench":"fig10_wild_delay","calls"'))
+actual["fig10_fixed_sweep"] = {"events": json.loads(record)["events"]}
+
+if actual != pins:
+    for group in sorted(set(pins) | set(actual)):
+        want, got = pins.get(group, {}), actual.get(group, {})
+        for name in sorted(set(want) | set(got)):
+            if want.get(name) != got.get(name):
+                print(f"pins: {group} {name}: pinned {want.get(name)}, "
+                      f"actual {got.get(name)}")
+    print("pins: work changed; if that is intended, replace "
+          "scripts/work_pins.json with the counts below and explain the "
+          "change in CHANGES.md:")
+    print(json.dumps(actual, indent=2))
+    sys.exit(1)
+print("pins: every work count matches scripts/work_pins.json")
+PY
 }
 
 run_step "tier-1: build + full test suite" step_tier1
@@ -160,15 +196,7 @@ else
   skip_step "tsan" "--no-tsan requested"
 fi
 
-if [[ "$run_bench" == 0 ]]; then
-  skip_step "bench" "--no-bench requested"
-elif [[ ! -f BENCH_eventloop.json ]]; then
-  # Not silent: a missing baseline means the perf gate is not protecting
-  # anything, and whoever reads the log should know that.
-  skip_step "bench" "BENCH_eventloop.json not committed; run scripts/bench.sh"
-else
-  run_step "perf: micro bench smoke vs committed baselines" step_bench
-fi
+run_step "pins: exact work counts vs scripts/work_pins.json" step_pins
 
 if [[ "$ci" == 1 && -n "${GITHUB_STEP_SUMMARY:-}" ]]; then
   {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Fleet-determinism gate (CI's fleet-determinism job runs exactly this):
 # proves the shard runner's two headline claims on a mid-size sweep of the
-# real fig10 wild-population scenario.
+# real fig10 wild-population scenario, then the fig10 runner's jobs
+# invariance and two memory ratios.
 #
 #   1. Split invariance — one 600-call sweep, three topologies:
 #        1 process  x 1 shard   (the reference)
@@ -14,9 +15,19 @@
 #   2. Crash durability — SIGKILL the sweep mid-run, wait for the orphaned
 #      workers to drain, rerun with --resume, and require the merged
 #      artifacts to be byte-identical to the uninterrupted reference.
+#   3. In-process jobs invariance — the fixed-seed 150-call fig10 sweep
+#      must write byte-identical --metrics-out and --timeline-out under
+#      --jobs 1 and --jobs 8.
+#   4. Memory ratios, which unlike absolute RSS do not depend on the host:
+#      the 150-call sweep with 10 ms timeline sampling must peak at most
+#      2.5x the RSS of the sampling-off sweep (the per-call point budget
+#      holds it there; an unbounded sampler once reached 4x), and spill
+#      streaming must keep the peak worker RSS of a 1600-call sweep within
+#      1.35x of a 400-call one (in-RAM accumulation would grow it with the
+#      call count).
 #
-# Merged artifacts and the BENCH_fleet.json headline land in $ARTIFACT_DIR
-# (default fleet-ci-artifacts/) for upload.
+# Merged artifacts and the shard runner's fleet_shard record land in
+# $ARTIFACT_DIR (default fleet-ci-artifacts/) for upload.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -83,8 +94,43 @@ for artifact in percentiles.json metrics.prom timeline.jsonl; do
 done
 echo "kill + --resume converged to the uninterrupted artifacts"
 
+echo "== jobs invariance: fig10 150-call sweep, --jobs 1 vs --jobs 8 =="
+for j in 1 8; do
+  "$fig10" --calls 150 --jobs "$j" --metrics-out "$d/metrics_j$j.prom" \
+    > "$d/plain_j$j.out"
+  "$fig10" --calls 150 --jobs "$j" --timeline-out "$d/timeline_j$j.jsonl" \
+    > "$d/timeline_j$j.out"
+done
+cmp "$d/metrics_j1.prom" "$d/metrics_j8.prom"
+cmp "$d/timeline_j1.jsonl" "$d/timeline_j8.jsonl"
+echo "--metrics-out and --timeline-out byte-identical across --jobs 1 / 8"
+
+# record_field <file> <field>: an integer field of the last timing record.
+record_field() {
+  grep -o "\"$2\":[0-9]*" "$1" | tail -1 | cut -d: -f2
+}
+
+echo "== memory: timeline sampling peak RSS <= 2.5x sampling-off =="
+rss_plain=$(record_field "$d/plain_j8.out" peak_rss_kb)
+rss_timeline=$(record_field "$d/timeline_j8.out" peak_rss_kb)
+echo "peak RSS ${rss_timeline} kB with the timeline vs ${rss_plain} kB without"
+(( rss_timeline * 10 <= rss_plain * 25 )) ||
+  { echo "FAIL: timeline sampling peak RSS exceeds 2.5x" >&2; exit 1; }
+
+echo "== memory: spill-mode peak worker RSS flat from 400 to 1600 calls =="
+for calls in 400 1600; do
+  ensure_spill_dir "$d/flat$calls"
+  "$fig10" --calls "$calls" --call-seconds 1 --processes 4 \
+    --checkpoint-every 64 --spill-dir "$d/flat$calls" > "$d/flat$calls.out"
+done
+rss_small=$(record_field "$d/flat400.out" peak_worker_rss_kb)
+rss_large=$(record_field "$d/flat1600.out" peak_worker_rss_kb)
+echo "peak worker RSS ${rss_small} kB @ 400 calls vs ${rss_large} kB @ 1600"
+(( rss_large * 100 <= rss_small * 135 )) ||
+  { echo "FAIL: spill-mode worker RSS grew past 1.35x" >&2; exit 1; }
+
 grep '^{"bench":"fleet_shard"' "$d/8x1.out" | tail -1 \
-  > "$artifact_dir/BENCH_fleet.json"
+  > "$artifact_dir/fleet_shard_record.json"
 cp "$d/1x1/merged/percentiles.json" "$d/1x1/merged/metrics.prom" \
    "$d/resume.out" "$artifact_dir/"
 echo "fleet_ci.sh: all green (artifacts in $artifact_dir/)"

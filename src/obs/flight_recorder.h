@@ -48,9 +48,9 @@ struct FlightEvent {
 /// Cost model: components hold a `FlightRecorder*` that is null by default,
 /// so a detached hook site is a single null check — 0 allocations, no time
 /// read, nothing. An attached Record() is a struct store into the
-/// preallocated ring (0 allocations per event; the obs test proves it with
-/// the operator-new counter, and micro_channel's alloc gate keeps the frame
-/// path honest).
+/// preallocated ring (0 allocations per event; timeline_test proves it with
+/// the operator-new counter, and frame_path_test's keeps the frame path
+/// honest).
 class FlightRecorder {
  public:
   /// `capacity` is rounded up to a power of two (minimum 8).

@@ -26,7 +26,7 @@ namespace kwikr::wifi {
 /// deterministic keeps wall-clock profiles reproducible). rate_bps == 0 marks
 /// an empty slot (a 0 bps rate is not transmittable). Storage is sized once
 /// at construction and never reallocates: the steady-state frame cycle stays
-/// zero-allocation (bench/micro_channel's operator-new counter enforces it).
+/// zero-allocation (frame_path_test's operator-new counter enforces it).
 class AirtimeCache {
  public:
   static constexpr std::size_t kDefaultSlots = 256;

@@ -36,8 +36,8 @@ struct Frame {
 // sim::FrameRing cell, where growth copies cost sizeof(Frame) each. Growing
 // net::Packet grows both. If this fires, either shrink the new field, move
 // the payload behind an out-of-band side table, or consciously raise
-// InlineTask::kInlineCapacity (and re-run bench/micro_channel to see what the
-// extra bytes cost per frame hop).
+// InlineTask::kInlineCapacity (and A/B congested_cell with scripts/bench.sh
+// --ab to see what the extra bytes cost per frame hop).
 static_assert(sizeof(Frame) + 3 * sizeof(void*) <=
                   sim::InlineTask::kInlineCapacity,
               "wifi::Frame grew past the budget for a [this, dest, frame] "

@@ -1,8 +1,9 @@
 // Frame-path primitives: kwikr::FunctionRef (the devirtualized hook type),
 // sim::FrameRing (the pooled frame queue), the event loop's same-tick
 // dispatch lane, the batched SoA arbitration core differentially tested
-// against a retained scalar reference, and fleet-sharded runs that must be
-// worker-count invariant. Registered under the `frame_path` CTest label;
+// against a retained scalar reference, the zero-allocation steady state of
+// a saturated cell, and fleet-sharded runs that must be worker-count
+// invariant. Registered under the `frame_path` CTest label;
 // scripts/check.sh and CI also run this suite under ThreadSanitizer, where
 // the sharded tests exercise concurrent EventLoop + Channel instances.
 
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "fleet/fleet_runner.h"
 #include "net/packet.h"
 #include "sim/event_loop.h"
@@ -851,6 +853,101 @@ TEST(BurstDelivery, ExecutedCountsOnlyDispatchedEvents) {
   ASSERT_GT(duplicated.deliveries().size(), 300u);
   EXPECT_EQ(duplicated_probe.deliver, duplicated.deliveries().size());
   EXPECT_EQ(duplicated_probe.total, duplicated.executed());
+}
+
+// ------------------------------------------------ zero-allocation cycle ----
+
+/// Saturated cell: an AP with a downlink contender per access category, two
+/// stations with bulk BE uplinks, and the paper's Ping-Pair probe (an 84-byte
+/// BE echo and an 84-byte VO echo from one station). Every delivered or
+/// retry-dropped frame refills its source contender, so each queue stays at
+/// its prefill depth and every ring, scratch vector and event-loop slot
+/// chunk reaches its high-water mark during warm-up. Packet::flow carries
+/// the source-contender index so one handler serves every owner.
+class SaturatedPingPairCell {
+ public:
+  SaturatedPingPairCell() : channel_(loop_, sim::Rng(0xC0FFEE)) {
+    const auto handler = wifi::Channel::DeliveryHandler::Member<
+        &SaturatedPingPairCell::OnDelivery>(this);
+    const wifi::OwnerId ap = channel_.RegisterOwner(handler);
+    const wifi::OwnerId sta1 = channel_.RegisterOwner(handler);
+    const wifi::OwnerId sta2 = channel_.RegisterOwner(handler);
+    channel_.SetDropHandler(wifi::Channel::DropHandler::Member<
+                            &SaturatedPingPairCell::OnRetryDrop>(this));
+    using wifi::AccessCategory;
+    Add(ap, sta1, AccessCategory::kBackground, 1200);
+    Add(ap, sta1, AccessCategory::kBestEffort, 1200);
+    Add(ap, sta2, AccessCategory::kVideo, 1200);
+    Add(ap, sta2, AccessCategory::kVoice, 200);
+    Add(sta1, ap, AccessCategory::kBestEffort, 1200);
+    Add(sta2, ap, AccessCategory::kBestEffort, 1200);
+    probe_begin_ = count_;
+    Add(sta1, ap, AccessCategory::kBestEffort, 84)->packet.protocol =
+        net::Protocol::kIcmp;
+    Add(sta1, ap, AccessCategory::kVoice, 84)->packet.protocol =
+        net::Protocol::kIcmp;
+    for (std::uint32_t i = 0; i < count_; ++i) {
+      for (int k = 0; k < (i >= probe_begin_ ? 2 : 32); ++k) Refill(i);
+    }
+  }
+
+  void RunFor(sim::Duration d) { loop_.RunFor(d); }
+  [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
+  [[nodiscard]] std::uint64_t probes_delivered() const {
+    return probes_delivered_;
+  }
+
+ private:
+  /// Registers a contender and returns its refill template: every refill of
+  /// a source enqueues a copy of the same frame, as real traffic sources do.
+  wifi::Frame* Add(wifi::OwnerId owner, wifi::OwnerId dest,
+                   wifi::AccessCategory ac, std::int32_t size_bytes) {
+    const auto edca = wifi::DefaultEdcaParams();
+    ids_[count_] =
+        channel_.CreateContender(owner, ac, edca[wifi::Index(ac)], 64);
+    wifi::Frame& frame = templates_[count_];
+    frame.dest = dest;
+    frame.phy_rate_bps = 120'000'000;
+    frame.packet.size_bytes = size_bytes;
+    frame.packet.flow = count_++;
+    return &frame;
+  }
+
+  void Refill(std::uint32_t index) {
+    channel_.Enqueue(ids_[index], wifi::Frame(templates_[index]));
+  }
+
+  void OnDelivery(wifi::Frame&& frame) {
+    ++delivered_;
+    if (frame.packet.flow >= probe_begin_) ++probes_delivered_;
+    Refill(frame.packet.flow);
+  }
+
+  void OnRetryDrop(const wifi::Frame& frame) { Refill(frame.packet.flow); }
+
+  sim::EventLoop loop_;
+  wifi::Channel channel_;
+  wifi::ContenderId ids_[8] = {};
+  wifi::Frame templates_[8];
+  std::uint32_t count_ = 0;
+  std::uint32_t probe_begin_ = 0;
+  std::uint64_t delivered_ = 0;
+  std::uint64_t probes_delivered_ = 0;
+};
+
+TEST(FramePathAllocations, SaturatedPingPairCellAllocatesNothingAfterWarmUp) {
+  SaturatedPingPairCell cell;
+  cell.RunFor(sim::Millis(500));
+  const std::uint64_t frames_before = cell.delivered();
+  const std::uint64_t probes_before = cell.probes_delivered();
+  const std::uint64_t allocations_before = AllocationCount();
+  cell.RunFor(sim::Seconds(5));
+  const std::uint64_t allocations = AllocationCount() - allocations_before;
+  ASSERT_GT(cell.delivered() - frames_before, 10'000u);
+  ASSERT_GT(cell.probes_delivered() - probes_before, 100u);
+  EXPECT_EQ(allocations, 0u) << "allocations per frame: "
+                             << static_cast<double>(allocations) /
+                                    (cell.delivered() - frames_before);
 }
 
 TEST(FramePathFleet, ShardedContentionDigestIsWorkerCountInvariant) {

@@ -3,44 +3,19 @@
 // zero-cost disabled paths.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cctype>
 #include <cstddef>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <set>
 #include <string>
 
+#include "alloc_counter.h"
 #include "fleet/fleet_metrics.h"
 #include "obs/exporters.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "scenario/wild_population.h"
 #include "sim/event_loop.h"
-
-namespace kwikr {
-namespace {
-
-// ------------------------------------------------ allocation counter ------
-// Global operator new/delete replacements counting heap allocations, used to
-// prove the disabled tracer path allocates nothing. The counter covers the
-// whole binary (including fleet worker threads), so it must be atomic, and
-// tests sample it immediately around the code under test.
-
-std::atomic<std::size_t> g_allocations{0};
-
-}  // namespace
-}  // namespace kwikr
-
-void* operator new(std::size_t size) {
-  kwikr::g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace kwikr {
 namespace {
@@ -388,14 +363,14 @@ TEST(TracerTest, DisabledPathDoesNotAllocate) {
   obs::Tracer tracer(&loop);  // no sink: disabled.
   ASSERT_FALSE(tracer.enabled());
 
-  const std::size_t before = g_allocations;
+  const std::uint64_t before = AllocationCount();
   for (int i = 0; i < 100; ++i) {
     obs::ScopedSpan span(tracer, "hot", "path");
     span.AddArg("x", 1.0);
     tracer.Instant("nope", "path");
     tracer.Counter("nope", "path", {});
   }
-  EXPECT_EQ(g_allocations, before);
+  EXPECT_EQ(AllocationCount(), before);
 }
 
 TEST(TracerTest, EnablingSinkEmits) {

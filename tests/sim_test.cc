@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "sim/decimal.h"
 #include "sim/event_loop.h"
 #include "sim/fastdiv.h"
@@ -832,6 +833,88 @@ TEST(EventLoop, WheelDifferentialAgainstReferenceScheduler) {
   EXPECT_EQ(wheel.pending(), 0u);
   EXPECT_EQ(ref.pending(), 0u);
   EXPECT_EQ(wheel.executed(), ref.executed());
+}
+
+// ------------------------------------------------- zero-allocation loop ----
+
+/// Packet-sized ballast: every hop in the simulator moves a ~168-byte
+/// net::Packet through an event closure.
+struct HopPayload {
+  unsigned char bytes[152] = {};
+};
+
+/// Self-rescheduling frame-hop chain with the simulator's per-packet event
+/// shape: a deliver event carries the payload by value (net.wire_prop,
+/// wifi.deliver), two small [this]-capture control events follow
+/// (wifi.arbitration, wifi.tx_done), and every hop arms a guard timer that
+/// tx-done cancels before it fires (TCP re-arms its RTO on every ACK). A
+/// hop dispatches 3 events and advances 100 us.
+struct FrameHopChain {
+  EventLoop* loop = nullptr;
+  int remaining = 0;
+  EventId guard = 0;
+  HopPayload in_flight;
+
+  void Deliver(HopPayload payload) {
+    in_flight = payload;
+    guard = loop->ScheduleIn(Millis(50), [] {});
+    loop->ScheduleIn(Micros(5), [this] { Arbitrate(); });
+  }
+  void Arbitrate() { loop->ScheduleIn(Micros(9), [this] { TxDone(); }); }
+  void TxDone() {
+    loop->Cancel(guard);
+    if (--remaining <= 0) return;
+    loop->ScheduleIn(Micros(86),
+                     [this, payload = in_flight] { Deliver(payload); });
+  }
+};
+
+void RunFrameHops(EventLoop& loop, std::vector<FrameHopChain>& chains,
+                  int hops) {
+  for (auto& chain : chains) {
+    chain.loop = &loop;
+    chain.remaining = hops;
+    loop.ScheduleIn(Micros(1), [&chain] { chain.Deliver(HopPayload{}); });
+  }
+  loop.Run();
+}
+
+/// Timeout churn: batches of 256 guard timers, 3 of every 4 cancelled
+/// before they fire (the Ping-Pair and TCP-RTO pattern). 64 dispatches per
+/// round.
+void RunCancelChurn(EventLoop& loop, std::vector<EventId>& ids, int rounds) {
+  for (int round = 0; round < rounds; ++round) {
+    ids.clear();
+    for (int i = 0; i < 256; ++i) {
+      ids.push_back(loop.ScheduleIn(Micros(10 + i), [] {}));
+    }
+    for (int i = 0; i < 256; ++i) {
+      if (i % 4 != 3) loop.Cancel(ids[static_cast<std::size_t>(i)]);
+    }
+    loop.Run();
+  }
+}
+
+TEST(EventLoopAllocations, FrameHopsAndCancelChurnAllocateNothingAfterWarmUp) {
+  EventLoop loop;
+  std::vector<FrameHopChain> chains(256);
+  std::vector<EventId> ids;
+  ids.reserve(256);
+  // Warm-up spans a full L1 wheel revolution (134.2 ms of simulated time) in
+  // each phase, so every L1 bucket has reached its high-water tombstone
+  // fill; a shorter one leaves bucket vectors growing in the measured phase.
+  RunFrameHops(loop, chains, 1'400);
+  RunCancelChurn(loop, ids, 600);
+
+  const std::uint64_t executed_before = loop.executed();
+  const std::uint64_t allocations_before = AllocationCount();
+  RunFrameHops(loop, chains, 1'000);
+  RunCancelChurn(loop, ids, 400);
+  const std::uint64_t allocations = AllocationCount() - allocations_before;
+  const std::uint64_t dispatched = loop.executed() - executed_before;
+  ASSERT_EQ(dispatched, 3u * 256 * 1'000 + 64u * 400);
+  EXPECT_EQ(allocations, 0u) << "allocations per event: "
+                             << static_cast<double>(allocations) / dispatched;
 }
 
 // ------------------------------------------------------------- decimal ----
