@@ -422,7 +422,8 @@ class EventLoop {
     // Forward resync keeps heap-driven quiet periods from pushing
     // near-future timers into the overflow heap. The BACKWARD resync
     // matters just as much: reap-walking a tail of cancelled far-future
-    // guards (the RTO pattern at quiesce) parks the scan position way
+    // guards (any arm-then-cancel timeout at quiesce; TCP's RTO was the
+    // first, before it became a lazy deadline) parks the scan position way
     // ahead of the clock, and without the pull-back every timer of the
     // next activity phase would classify as a late arrival and
     // sorted-insert into one ever-growing drain run — O(run) memmove per

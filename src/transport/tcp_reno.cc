@@ -51,9 +51,11 @@ void TcpSender::Start() {
 
 void TcpSender::Stop() {
   running_ = false;
-  if (rto_event_ != 0) {
-    loop_.Cancel(rto_event_);
-    rto_event_ = 0;
+  rto_armed_ = false;
+  // The wakeup's closure captures `this`: cancel it, never leave it stale.
+  if (rto_wakeup_ != 0) {
+    loop_.Cancel(rto_wakeup_);
+    rto_wakeup_ = 0;
   }
 }
 
@@ -104,19 +106,41 @@ void TcpSender::SendSegment(std::int64_t seq, bool retransmission) {
   } else {
     send_(std::move(packet));
   }
-  if (rto_event_ == 0) ArmRto();
+  if (!rto_armed_) ArmRto();
 }
 
 void TcpSender::ArmRto() {
-  if (rto_event_ != 0) loop_.Cancel(rto_event_);
-  const sim::Duration timeout =
-      std::min(config_.max_rto, rto_ << rto_backoff_);
-  auto fire_rto = [this] {
-    rto_event_ = 0;
-    OnRto();
+  rto_armed_ = true;
+  rto_deadline_ =
+      loop_.now() + std::min(config_.max_rto, rto_ << rto_backoff_);
+  if (rto_wakeup_ != 0) {
+    // A wakeup at or before the deadline re-arms itself when it fires; only
+    // a deadline that moved earlier (backoff reset, smaller rto_) needs a
+    // new one.
+    if (rto_wakeup_at_ <= rto_deadline_) return;
+    loop_.Cancel(rto_wakeup_);
+  }
+  ScheduleRtoWakeup();
+}
+
+void TcpSender::ScheduleRtoWakeup() {
+  auto wake = [this] {
+    rto_wakeup_ = 0;
+    OnRtoWakeup();
   };
-  static_assert(sim::InlineTask::fits_inline<decltype(fire_rto)>);
-  rto_event_ = loop_.ScheduleIn(timeout, "tcp.rto", std::move(fire_rto));
+  static_assert(sim::InlineTask::fits_inline<decltype(wake)>);
+  rto_wakeup_at_ = rto_deadline_;
+  rto_wakeup_ = loop_.ScheduleAt(rto_deadline_, "tcp.rto", std::move(wake));
+}
+
+void TcpSender::OnRtoWakeup() {
+  if (!rto_armed_) return;  // everything was acknowledged meanwhile.
+  if (loop_.now() < rto_deadline_) {
+    ScheduleRtoWakeup();  // ACKs moved the deadline on.
+    return;
+  }
+  rto_armed_ = false;
+  OnRto();
 }
 
 void TcpSender::OnRto() {
@@ -192,9 +216,8 @@ void TcpSender::OnAck(const net::Packet& ack) {
     }
     if (next_seq_ > high_ack_) {
       ArmRto();
-    } else if (rto_event_ != 0) {
-      loop_.Cancel(rto_event_);
-      rto_event_ = 0;
+    } else {
+      rto_armed_ = false;  // a pending wakeup finds nothing to do.
     }
   } else if (ack_seq == high_ack_ && next_seq_ > high_ack_) {
     ++dup_acks_;
@@ -225,19 +248,15 @@ void TcpRenoReceiver::OnSegment(const net::Packet& segment, sim::Time arrival) {
     return;
   }
   const std::int64_t seq = segment.tcp.seq;
-  if (seq == cumulative_ && out_of_order_.empty()) {
-    // In-order fast path (the overwhelmingly common case): advancing the
-    // cumulative ACK directly skips a tree-node insert + immediate erase —
-    // i.e. a heap allocation — per segment.
-    ++cumulative_;
-    bytes_ += segment.size_bytes - 40;  // approximate payload.
-  } else if (seq >= cumulative_) {
-    out_of_order_.insert(seq);
-    while (!out_of_order_.empty() && *out_of_order_.begin() == cumulative_) {
-      out_of_order_.erase(out_of_order_.begin());
+  if (seq == cumulative_) {
+    // Fills the head hole (in the common in-order case, with nothing held):
+    // advance past it and every held segment right behind it.
+    do {
       ++cumulative_;
       bytes_ += segment.size_bytes - 40;  // approximate payload.
-    }
+    } while (held_count_ != 0 && TakeHeld(cumulative_));
+  } else if (seq > cumulative_) {
+    Hold(seq);
   }
 
   net::Packet ack;
@@ -251,6 +270,34 @@ void TcpRenoReceiver::OnSegment(const net::Packet& segment, sim::Time arrival) {
   ack.tcp.ack = cumulative_;
   ack.tcp.is_ack = true;
   send_(std::move(ack));
+}
+
+void TcpRenoReceiver::Hold(std::int64_t seq) {
+  const std::int64_t span = static_cast<std::int64_t>(held_.size());
+  if (seq - cumulative_ >= span) {
+    // The first hold, or (rarely) the window outgrew the ring: double until
+    // it fits and re-seat every held segment at its bit in the wider ring.
+    std::int64_t wider = std::max<std::int64_t>(span, kInitialSpan);
+    while (wider <= seq - cumulative_) wider *= 2;
+    std::vector<bool> ring(static_cast<std::size_t>(wider));
+    for (std::int64_t s = cumulative_ + 1; s < cumulative_ + span; ++s) {
+      ring[static_cast<std::size_t>(s & (wider - 1))] = held_[RingIndex(s)];
+    }
+    held_.swap(ring);
+  }
+  auto bit = held_[RingIndex(seq)];
+  if (!bit) {
+    bit = true;
+    ++held_count_;
+  }
+}
+
+bool TcpRenoReceiver::TakeHeld(std::int64_t seq) {
+  auto bit = held_[RingIndex(seq)];
+  if (!bit) return false;
+  bit = false;
+  --held_count_;
+  return true;
 }
 
 }  // namespace kwikr::transport

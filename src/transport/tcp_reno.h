@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
+#include <vector>
 
 #include "net/packet.h"
 #include "obs/flight_recorder.h"
@@ -72,7 +72,7 @@ class TcpSender {
   [[nodiscard]] sim::Duration srtt() const { return srtt_; }
   [[nodiscard]] net::FlowId flow() const { return flow_; }
   [[nodiscard]] std::int64_t in_flight() const { return next_seq_ - high_ack_; }
-  [[nodiscard]] bool rto_armed() const { return rto_event_ != 0; }
+  [[nodiscard]] bool rto_armed() const { return rto_armed_; }
   [[nodiscard]] bool in_fast_recovery() const { return in_fast_recovery_; }
 
   /// Attaches a flight recorder: retransmissions and RTO firings get
@@ -86,6 +86,8 @@ class TcpSender {
   void TrySend();
   void SendSegment(std::int64_t seq, bool retransmission);
   void ArmRto();
+  void ScheduleRtoWakeup();
+  void OnRtoWakeup();
   void OnRto();
   void EnterFastRecovery();
   void SyncPacer();
@@ -113,8 +115,16 @@ class TcpSender {
   sim::Duration srtt_ = 0;
   sim::Duration rttvar_ = 0;
   sim::Duration rto_ = sim::Seconds(1);
-  sim::EventId rto_event_ = 0;
   int rto_backoff_ = 0;
+  /// Lazy RTO timer (DESIGN.md §12): ArmRto() only moves rto_deadline_. One
+  /// wakeup event stays pending at or before the deadline; a wakeup that
+  /// finds the deadline still ahead re-arms itself at it, so the per-ACK
+  /// re-arm costs no scheduler work. The wakeup is cancelled only when the
+  /// deadline moves earlier than it and on Stop().
+  bool rto_armed_ = false;
+  sim::Time rto_deadline_ = 0;
+  sim::EventId rto_wakeup_ = 0;  ///< 0 when no wakeup is pending.
+  sim::Time rto_wakeup_at_ = 0;
   std::int64_t rtt_probe_seq_ = -1;   ///< segment being timed (Karn's rule).
   sim::Time rtt_probe_sent_ = 0;
 
@@ -144,6 +154,19 @@ class TcpRenoReceiver {
   [[nodiscard]] std::int64_t bytes_received() const { return bytes_; }
 
  private:
+  /// Reorder-ring span (segments) at the first out-of-order arrival.
+  static constexpr std::int64_t kInitialSpan = 256;
+
+  /// Holds out-of-order segment `seq` (> cumulative_); duplicates are
+  /// no-ops.
+  void Hold(std::int64_t seq);
+  /// Releases held segment `seq` if it is held; returns whether it was.
+  bool TakeHeld(std::int64_t seq);
+  /// `seq`'s bit in the ring. Requires a non-empty ring.
+  [[nodiscard]] std::size_t RingIndex(std::int64_t seq) const {
+    return static_cast<std::size_t>(seq) & (held_.size() - 1);
+  }
+
   net::FlowId flow_;
   net::Address src_;
   net::Address dst_;
@@ -152,7 +175,14 @@ class TcpRenoReceiver {
   std::int32_t ack_bytes_;
   std::int64_t cumulative_ = 0;  ///< all segments < cumulative_ received.
   std::int64_t bytes_ = 0;
-  std::set<std::int64_t> out_of_order_;
+  /// Reorder window: a ring bitmap whose bit (seq & (span - 1)) is set while
+  /// out-of-order segment seq is held. Held segments always lie in
+  /// (cumulative_, cumulative_ + span), so each has its own bit and the
+  /// ring needs no base index. The span is a power of two that doubles only
+  /// when a segment lands beyond it, which the sender's window bounds, so
+  /// the steady state allocates nothing.
+  std::vector<bool> held_;
+  std::size_t held_count_ = 0;  ///< segments currently held.
 };
 
 }  // namespace kwikr::transport

@@ -736,8 +736,10 @@ TEST(EventLoop, CancelInsideWheelBuckets) {
 }
 
 TEST(EventLoop, WheelIdleResyncSurvivesFarFutureCancelChurn) {
-  // The RTO pattern that motivated the backward resync: a burst of activity
-  // leaves far-future guard timers that all get cancelled, the reap-walk
+  // The guard-timer pattern that motivated the backward resync (TCP's
+  // per-ACK RTO re-arm, before the RTO became a lazy deadline; any
+  // arm-then-cancel guard still has it): a burst of activity leaves
+  // far-future guard timers that all get cancelled, the reap-walk
   // parks the scan position ahead of the clock, and the next activity
   // phase's timers must still dispatch in exact (time, seq) order.
   EventLoop loop;
@@ -847,7 +849,8 @@ struct HopPayload {
 /// shape: a deliver event carries the payload by value (net.wire_prop,
 /// wifi.deliver), two small [this]-capture control events follow
 /// (wifi.arbitration, wifi.tx_done), and every hop arms a guard timer that
-/// tx-done cancels before it fires (TCP re-arms its RTO on every ACK). A
+/// tx-done cancels before it fires (a cancel-heavy stress shape: the
+/// arm-per-packet guard TCP's RTO used before it became a lazy deadline). A
 /// hop dispatches 3 events and advances 100 us.
 struct FrameHopChain {
   EventLoop* loop = nullptr;
@@ -880,8 +883,8 @@ void RunFrameHops(EventLoop& loop, std::vector<FrameHopChain>& chains,
 }
 
 /// Timeout churn: batches of 256 guard timers, 3 of every 4 cancelled
-/// before they fire (the Ping-Pair and TCP-RTO pattern). 64 dispatches per
-/// round.
+/// before they fire (the Ping-Pair timeout guard's pattern). 64 dispatches
+/// per round.
 void RunCancelChurn(EventLoop& loop, std::vector<EventId>& ids, int rounds) {
   for (int round = 0; round < rounds; ++round) {
     ids.clear();
@@ -1094,10 +1097,11 @@ TEST(Rng, StreamForkIsDeterministicAndConst) {
   // Same parent state + same stream index => identical child stream, and
   // forking never advances the parent (it is const).
   for (int i = 0; i < 10; ++i) EXPECT_EQ(a.Next(), b.Next());
-  Rng untouched(42);
-  Rng fresh(42);
-  base.Fork(123);
-  EXPECT_EQ(untouched.Next(), fresh.Next());
+  Rng before = base;
+  Rng child = base.Fork(123);
+  Rng after = base;
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(before.Next(), after.Next());
+  EXPECT_NE(child.Next(), Rng(base).Next());
 }
 
 TEST(Rng, StreamForksAreDecorrelated) {

@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "net/packet.h"
 #include "net/wired_link.h"
 #include "sim/event_loop.h"
+#include "sim/rng.h"
 #include "transport/tcp_reno.h"
 #include "transport/token_bucket.h"
 #include "transport/udp_stream.h"
@@ -306,6 +312,179 @@ TEST(TcpReno, StopHaltsTransmission) {
   EXPECT_LT(h.sender->segments_acked() - acked, 300);
 }
 
+TEST(TcpAllocations, LossyRenoBulkFlowAllocatesNothingAfterWarmUp) {
+  TcpHarness h(5'000'000, 25);  // small drop-tail buffer: steady losses.
+  h.sender->Start();
+  h.loop.RunUntil(sim::Seconds(5));
+  const std::int64_t retx_before = h.sender->retransmissions();
+  const std::int64_t received_before = h.receiver->segments_received();
+  const std::uint64_t executed_before = h.loop.executed();
+  const std::uint64_t allocations_before = AllocationCount();
+  h.loop.RunUntil(sim::Seconds(15));
+  const std::uint64_t allocations = AllocationCount() - allocations_before;
+  h.sender->Stop();
+  // Losses in the measured phase mean out-of-order arrivals and RTO
+  // re-arms: the reorder window and the RTO timer were both exercised.
+  ASSERT_GT(h.sender->retransmissions() - retx_before, 5);
+  ASSERT_GT(h.receiver->segments_received() - received_before, 3'000);
+  EXPECT_EQ(allocations, 0u)
+      << "allocations per event: "
+      << static_cast<double>(allocations) /
+             static_cast<double>(h.loop.executed() - executed_before);
+}
+
+// --------------------------------------------------------- TCP RTO timer --
+
+net::Packet AckOf(std::int64_t cumulative) {
+  net::Packet ack;
+  ack.protocol = net::Protocol::kTcp;
+  ack.flow = 1;
+  ack.tcp.is_ack = true;
+  ack.tcp.ack = cumulative;
+  return ack;
+}
+
+/// RTO exactness harness: the data path is a black hole that logs every
+/// transmission, and the test delivers ACKs by hand, so each RTO shows up
+/// as a send at an exact instant.
+struct RtoHarness {
+  sim::EventLoop loop;
+  net::PacketIdAllocator ids;
+  std::vector<sim::Time> sends;
+  std::int64_t next_unsent = 0;  ///< one past the highest seq sent.
+  TcpSender sender{loop, 1, 10, 20, ids, [this](net::Packet p) {
+                     sends.push_back(loop.now());
+                     next_unsent = std::max(next_unsent, p.tcp.seq + 1);
+                   }};
+
+  void AckAt(sim::Time at, std::int64_t cumulative) {
+    loop.ScheduleAt(at, [this, cumulative] {
+      sender.OnAck(AckOf(cumulative));
+    });
+  }
+
+  /// ACKs of segments 0..9, one every 10 ms from 50 ms to 140 ms. Only the
+  /// first is an RTT sample (50 ms): srtt = 50 ms, rttvar = 25 ms, so
+  /// rto = max(min_rto, srtt + 4 * rttvar) = 200 ms.
+  static constexpr sim::Time kLastAck = sim::Millis(140);
+  void StartAndAckFirstWindow() {
+    sender.Start();
+    for (int i = 0; i < 10; ++i) AckAt(sim::Millis(50 + 10 * i), i + 1);
+  }
+
+  [[nodiscard]] std::vector<sim::Time> SendsAfter(sim::Time t) const {
+    std::vector<sim::Time> out;
+    for (const sim::Time at : sends) {
+      if (at > t) out.push_back(at);
+    }
+    return out;
+  }
+};
+
+TEST(TcpRto, FiresExactlyOneRtoAfterTheLastAckAndDoublesOnEachBackoff) {
+  RtoHarness h;
+  h.StartAndAckFirstWindow();
+  h.loop.RunUntil(sim::Seconds(7));
+  ASSERT_EQ(h.sender.srtt(), sim::Millis(50));
+  // Each RTO retransmits one segment (cwnd falls to 1) and nothing else is
+  // sent after the last ACK: the sends are the RTO instants. 200 ms after
+  // the last ACK, then intervals of 400, 800, 1600 and 3200 ms.
+  const std::vector<sim::Time> expected = {
+      sim::Millis(340), sim::Millis(740), sim::Millis(1540),
+      sim::Millis(3140), sim::Millis(6340)};
+  EXPECT_EQ(h.SendsAfter(RtoHarness::kLastAck), expected);
+  EXPECT_EQ(h.sender.timeouts(), 5);
+  EXPECT_EQ(h.sender.retransmissions(), 5);
+}
+
+TEST(TcpRto, BackoffResetPullsTheDeadlineBeforeThePendingWakeup) {
+  RtoHarness h;
+  h.StartAndAckFirstWindow();
+  // The first RTO (340 ms) retransmits segment 10 and backs off: the next
+  // deadline, and the pending wakeup, are at 740 ms. The ACK of that
+  // retransmission at 400 ms resets the backoff and re-arms for 600 ms,
+  // earlier than the wakeup, which must be replaced.
+  h.AckAt(sim::Millis(400), 11);
+  h.loop.RunUntil(sim::Millis(900));
+  EXPECT_EQ(h.SendsAfter(sim::Millis(400)),
+            std::vector<sim::Time>{sim::Millis(600)});
+  EXPECT_EQ(h.sender.timeouts(), 2);
+}
+
+/// Counts dispatches of one event type.
+class TypeCounter : public sim::EventLoopProbe {
+ public:
+  explicit TypeCounter(const char* type) : type_(type) {}
+  void OnExecuted(const char* type, sim::Time, double) override {
+    if (std::strcmp(type, type_) == 0) ++count_;
+  }
+  [[nodiscard]] std::uint64_t count() const { return count_; }
+
+ private:
+  const char* type_;
+  std::uint64_t count_ = 0;
+};
+
+TEST(TcpRto, WakeupsLeftByFullAcknowledgementsFireNoTimeout) {
+  RtoHarness h;
+  TypeCounter rto_wakeups("tcp.rto");
+  h.loop.SetProbe(&rto_wakeups);
+  h.sender.Start();
+  // Every 50 ms one ACK covers everything sent so far: each ACK leaves the
+  // flow fully acknowledged (the sender disarms without cancelling) before
+  // it sends the next window, so earlier wakeups keep falling due ahead of
+  // the moving deadline.
+  int acks = 0;
+  for (sim::Time t = sim::Millis(50); t < sim::Seconds(10);
+       t += sim::Millis(50)) {
+    h.loop.ScheduleAt(t, [&h] { h.sender.OnAck(AckOf(h.next_unsent)); });
+    ++acks;
+  }
+  h.loop.RunUntil(sim::Seconds(10));
+  h.loop.SetProbe(nullptr);
+  EXPECT_EQ(h.sender.timeouts(), 0);
+  EXPECT_EQ(h.sender.retransmissions(), 0);
+  EXPECT_TRUE(h.sender.rto_armed());
+  // Stale wakeups did run, but fewer than one per ACK.
+  EXPECT_GT(rto_wakeups.count(), 0u);
+  EXPECT_LT(rto_wakeups.count(), static_cast<std::uint64_t>(acks));
+}
+
+TEST(TcpRto, StopAndDestructionCancelThePendingWakeup) {
+  sim::EventLoop loop;
+  net::PacketIdAllocator ids;
+  auto make_sender = [&] {
+    return std::make_unique<TcpSender>(loop, 1, 10, 20, ids,
+                                       [](net::Packet) {});
+  };
+  // Stop() with the wakeup pending, then destruction. A surviving wakeup
+  // would dereference the destroyed sender in the RunUntil.
+  auto sender = make_sender();
+  sender->Start();
+  loop.RunUntil(sim::Millis(10));
+  ASSERT_TRUE(sender->rto_armed());
+  ASSERT_EQ(loop.pending(), 1u);  // the wakeup.
+  sender->Stop();
+  EXPECT_FALSE(sender->rto_armed());
+  EXPECT_EQ(loop.pending(), 0u);
+  sender.reset();
+  loop.RunUntil(sim::Seconds(20));
+
+  // Destruction alone, while the wakeup (due 21 s, the initial 1 s RTO) is
+  // stale: the ACK at 20.5 s moved the deadline to 22 s.
+  sender = make_sender();
+  sender->Start();
+  loop.ScheduleAt(sim::Millis(20'500), [&] { sender->OnAck(AckOf(1)); });
+  loop.RunUntil(sim::Millis(20'600));
+  ASSERT_TRUE(sender->rto_armed());
+  ASSERT_EQ(loop.pending(), 1u);
+  sender.reset();
+  EXPECT_EQ(loop.pending(), 0u);
+  loop.RunUntil(sim::Seconds(40));
+}
+
+// ----------------------------------------------------- TcpRenoReceiver ----
+
 TEST(TcpRenoReceiver, ReordersOutOfOrderSegments) {
   sim::EventLoop loop;
   net::PacketIdAllocator ids;
@@ -356,6 +535,87 @@ TEST(TcpRenoReceiver, DuplicateSegmentsNotDoubleCounted) {
   receiver.OnSegment(p, 0);
   receiver.OnSegment(p, 0);
   EXPECT_EQ(receiver.segments_received(), 1);
+}
+
+/// The ordered-set receiver the reorder window replaced, as the reference
+/// model: returns the cumulative ACK for each arriving segment.
+struct ReferenceReceiver {
+  std::int64_t cumulative = 0;
+  std::int64_t bytes = 0;
+  std::set<std::int64_t> held;
+
+  std::int64_t OnSegment(std::int64_t seq, std::int32_t size_bytes) {
+    if (seq >= cumulative) {
+      held.insert(seq);
+      while (!held.empty() && *held.begin() == cumulative) {
+        held.erase(held.begin());
+        ++cumulative;
+        bytes += size_bytes - 40;
+      }
+    }
+    return cumulative;
+  }
+};
+
+TEST(TcpRenoReceiver, ReorderWindowMatchesOrderedSetReference) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    sim::Rng rng(seed);
+    net::PacketIdAllocator ids;
+    std::vector<std::int64_t> acks;
+    TcpRenoReceiver receiver(1, 20, 10, ids, [&](net::Packet p) {
+      acks.push_back(p.tcp.ack);
+    });
+    ReferenceReceiver reference;
+    std::size_t segments = 0;
+    auto deliver = [&](std::int64_t seq) {
+      net::Packet p;
+      p.protocol = net::Protocol::kTcp;
+      p.flow = 1;
+      p.size_bytes = static_cast<std::int32_t>(rng.UniformInt(41, 1500));
+      p.tcp.seq = seq;
+      receiver.OnSegment(p, 0);
+      ++segments;
+      const std::int64_t expected_ack = reference.OnSegment(seq, p.size_bytes);
+      return acks.size() == segments && acks.back() == expected_ack &&
+             receiver.segments_received() == reference.cumulative &&
+             receiver.bytes_received() == reference.bytes;
+    };
+    // Windows of fresh segments arrive shuffled. 5% are lost and arrive in
+    // the next window instead, 5% arrive twice, and after 5% of arrivals a
+    // stale segment (at or below the cumulative ACK) shows up. Every eighth
+    // window is up to 4096 segments wide, so a loss at its start holds
+    // segments far beyond the initial ring span and the ring must grow.
+    std::vector<std::int64_t> lost;
+    std::int64_t next = 0;
+    for (int round = 0; round < 40; ++round) {
+      std::vector<std::int64_t> arrivals = std::move(lost);
+      lost.clear();
+      const std::int64_t width =
+          rng.UniformInt(1, round % 8 == 7 ? 4096 : 300);
+      for (std::int64_t i = 0; i < width; ++i, ++next) {
+        (rng.Bernoulli(0.05) ? lost : arrivals).push_back(next);
+      }
+      for (std::size_t i = arrivals.size(); i > 1; --i) {
+        const auto j = static_cast<std::size_t>(
+            rng.UniformInt(0, static_cast<std::int64_t>(i) - 1));
+        std::swap(arrivals[i - 1], arrivals[j]);
+      }
+      for (const std::int64_t seq : arrivals) {
+        ASSERT_TRUE(deliver(seq)) << "seed " << seed << " seq " << seq;
+        if (rng.Bernoulli(0.05)) {
+          ASSERT_TRUE(deliver(seq)) << "seed " << seed << " dup " << seq;
+        }
+        if (rng.Bernoulli(0.05)) {
+          const std::int64_t stale = rng.UniformInt(0, reference.cumulative);
+          ASSERT_TRUE(deliver(stale)) << "seed " << seed << " stale " << stale;
+        }
+      }
+    }
+    for (const std::int64_t seq : lost) {
+      ASSERT_TRUE(deliver(seq)) << "seed " << seed << " seq " << seq;
+    }
+    EXPECT_EQ(receiver.segments_received(), next) << "seed " << seed;
+  }
 }
 
 }  // namespace
